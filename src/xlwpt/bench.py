@@ -191,7 +191,8 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
                 probes.append((fixed_coord, a, b))
             else:
                 probes.append((a, b, fixed_coord))
-    values = power_map(geom, alloc, ch, probes)
+    values = power_map(geom, alloc, ch, probes,
+                       amplitude_model=cfg.amplitude_model)
     axis_names = {"xz": ("x_m", "z_m"), "yz": ("y_m", "z_m"), "xy": ("x_m", "y_m")}
     na, nb = axis_names[plane]
     lines = ["%s,%s,watts" % (na, nb)]

@@ -12,6 +12,7 @@ import numpy as np
 
 # users closer than this to any element are rejected as degenerate
 MIN_USER_DISTANCE = 1e-6
+AMPLITUDE_MODELS = ("center", "per_element")
 
 
 def default_origins(n_sub, nx, ny, d):
@@ -170,7 +171,7 @@ def channel(geom, s, user, amplitude_model="center"):
     referenced to the sub-array center by default, or per element when
     ``amplitude_model="per_element"``.
     """
-    if amplitude_model not in ("center", "per_element"):
+    if amplitude_model not in AMPLITUDE_MODELS:
         raise ValueError("unknown amplitude model %r" % amplitude_model)
     p = user.coords if isinstance(user, UserPosition) else np.asarray(user, float)
     if p[2] <= 0:
@@ -189,6 +190,46 @@ def channel(geom, s, user, amplitude_model="center"):
         return amp * np.sqrt(gain) * phase
     theta = np.arccos(np.clip(p[2] / r_elem, -1.0, 1.0))
     amp = geom.wavelength / (4.0 * np.pi * r_elem)
+    gain = radiation_pattern(theta, geom.boresight_exp)
+    return amp * np.sqrt(gain) * phase
+
+
+def channels(geom, points, amplitude_model="center"):
+    """Near-field channels from all S sub-arrays to P points, shape (P, S, Ns).
+
+    Entry ``[p, s]`` is ``channel(geom, s, points[p], amplitude_model)``
+    computed with the same per-element arithmetic. The center model's
+    reference distance and pattern gain are computed on arrays where
+    ``channel`` uses a BLAS dot and scalar ``pow``, so its entries can differ
+    from ``channel`` in the last few bits (1e-15 relative). The element grid
+    is separable (x from ``nx``, y from ``ny``, z = 0), so squared distances
+    broadcast as ``(dx^2 + dy^2) + dz^2`` without a (P, S, Ns, 3) temporary.
+    """
+    if amplitude_model not in AMPLITUDE_MODELS:
+        raise ValueError("unknown amplitude model %r" % amplitude_model)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if np.any(pts[:, 2] <= 0):
+        raise ValueError("user must be in front of the array plane")
+    origins = np.array(geom.sub_array_origins)
+    ex = origins[:, 0, None] + np.arange(geom.nx) * geom.d     # (S, nx)
+    ey = origins[:, 1, None] + np.arange(geom.ny) * geom.d     # (S, ny)
+    dx2 = (pts[:, 0, None, None] - ex) ** 2                    # (P, S, nx)
+    dy2 = (pts[:, 1, None, None] - ey) ** 2                    # (P, S, ny)
+    dz2 = pts[:, 2, None, None, None] ** 2
+    shape = (len(pts), geom.n_sub, geom.n_elements)
+    # element index ix * ny + iy, as in element_positions
+    r_elem = np.sqrt((dx2[..., :, None] + dy2[..., None, :]) + dz2).reshape(shape)
+    if np.any(r_elem < MIN_USER_DISTANCE):
+        raise ValueError("user position degenerate: within %g m of an element"
+                         % MIN_USER_DISTANCE)
+    phase = np.exp(-1j * geom.wavenumber * r_elem)
+    if amplitude_model == "center":
+        centers = np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
+        r = np.sqrt(np.sum((pts[:, None, :] - centers) ** 2, axis=2))[..., None]
+    else:
+        r = r_elem
+    theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
+    amp = geom.wavelength / (4.0 * np.pi * r)
     gain = radiation_pattern(theta, geom.boresight_exp)
     return amp * np.sqrt(gain) * phase
 
@@ -229,18 +270,17 @@ def build_channel_set(geom, users, amplitude_model="center"):
     if len(users) == 0:
         raise ValueError("need at least one user")
     boundary = near_field_boundary(geom)
-    n_users = len(users)
-    g = np.zeros((geom.n_sub, n_users, geom.n_elements), dtype=complex)
-    for m, u in enumerate(users):
-        p = u.coords if isinstance(u, UserPosition) else np.asarray(u, float)
+    points = np.array([u.coords if isinstance(u, UserPosition)
+                       else np.asarray(u, float) for u in users])
+    for m, p in enumerate(points):
         if np.linalg.norm(p) > boundary:
             warnings.warn(
                 "user %d at range %.3g m lies beyond the near-field service "
                 "boundary d_f/10 = %.3g m" % (m, np.linalg.norm(p), boundary),
                 stacklevel=2,
             )
-        for s in range(geom.n_sub):
-            g[s, m] = channel(geom, s, u, amplitude_model)
+    g = np.ascontiguousarray(
+        channels(geom, points, amplitude_model).transpose(1, 0, 2))
     norms = np.linalg.norm(g, axis=2)
     kappa = np.zeros_like(norms)
     nz = norms > 0

@@ -309,10 +309,6 @@ def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
     candidate = project_feasible(x, p_sub, p_total, active)
     candidate[:, dead] = 0.0
 
-    def phi_omega(om):
-        return (_harvest_value(quad, np.sqrt(om))
-                - lam * (float(np.sum(slope * om)) + fixed))
-
     # ascend from both the DR candidate and the start: q = 0 entries are
     # stationary under the sqrt substitution, so a single seed can get stuck
     omega, phi = _pga_polish(candidate, quad, slope, fixed, lam, p_sub,

@@ -4,9 +4,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import channel as build_channel
+from .geometry import channels
 
 FEASIBILITY_TOL = 1e-9
+# complex channel entries (probes x S x Ns) synthesized per power-map chunk;
+# small enough that the chunk's temporaries stay in cache
+_MAP_CHUNK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -127,15 +130,17 @@ def power_map(geom, alloc, ch, probes, use_parameterized=False,
     """
     w = alloc.weights(use_parameterized)
     coef = w[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
-    values = np.zeros(len(probes))
-    for i, p in enumerate(probes):
-        p = np.asarray(p, dtype=float)
-        if p[2] <= 0:
-            # behind the array plane: outside the element pattern support
-            continue
-        gq = np.stack([build_channel(geom, s, p, amplitude_model)
-                       for s in range(geom.n_sub)])
-        cross = np.einsum("si,smi->sm", gq, np.conj(ch.g))
-        t = np.sum(coef * cross, axis=0)
-        values[i] = np.sum(np.abs(t) ** 2)
+    g_conj = np.conj(ch.g)
+    pts = np.asarray(probes, dtype=float).reshape(-1, 3)
+    values = np.zeros(len(pts))
+    # probes behind the array plane lie outside the element pattern support
+    behind = pts[:, 2] <= 0
+    front = np.flatnonzero(~behind)
+    step = max(1, _MAP_CHUNK_ENTRIES // (geom.n_sub * geom.n_elements))
+    for start in range(0, len(front), step):
+        idx = front[start:start + step]
+        gq = channels(geom, pts[idx], amplitude_model)
+        cross = np.einsum("psi,smi->psm", gq, g_conj)
+        t = np.sum(coef * cross, axis=1)
+        values[idx] = np.sum(np.abs(t) ** 2, axis=1)
     return values

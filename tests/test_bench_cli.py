@@ -16,6 +16,7 @@ from xlwpt.bench import (
     worker_count,
 )
 from xlwpt.cli import main
+from xlwpt.power import received_power_per_user
 from xlwpt.sa import SolveReport
 from xlwpt.scenario import ScenarioConfig, ClusterSpec
 
@@ -195,6 +196,19 @@ class TestPowerMap:
         imx = int(np.argmin(np.abs(xs + ux)))
         iuz = int(np.argmin(np.abs(zs - uz)))
         assert grid[iuz, iux] > 2.0 * grid[iuz, imx]
+
+    def test_probe_at_user_uses_scenario_amplitude_model(self, tmp_path):
+        # a one-cell raster placed on a user reads that user's received
+        # power only if the probe channels follow the scenario's model
+        cfg = small_cfg(methods=("PA-SA",), amplitude_model="per_element")
+        results, _ = run_methods(cfg)
+        alloc = results[0].allocation
+        u = cfg.users()[0]
+        grid = emit_powermap(cfg, alloc, plane="xz",
+                             extent=(u.x, u.x, u.z, u.z), resolution=1,
+                             path=str(tmp_path / "m.csv"), fixed_coord=u.y)
+        want = received_power_per_user(cfg.channel_set(), alloc)[0]
+        assert grid[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_bad_plane(self, tmp_path):
         cfg = small_cfg(methods=("PA-SA",))

@@ -6,8 +6,10 @@ import pytest
 from xlwpt.geometry import (
     ArrayGeometry,
     UserPosition,
+    MIN_USER_DISTANCE,
     build_channel_set,
     channel,
+    channels,
     element_positions,
     fraunhofer_distance,
     near_field_boundary,
@@ -159,6 +161,61 @@ class TestChannel:
         # same phases, slightly different amplitudes
         assert np.ptp(np.abs(g_elem)) > 0
         np.testing.assert_allclose(np.angle(g_elem), np.angle(g_center))
+
+
+def stacked_channels(geom, points, amplitude_model):
+    """Scalar oracle of the broadcast kernel: one channel() call per pair."""
+    return np.array([[channel(geom, s, p, amplitude_model)
+                      for s in range(geom.n_sub)] for p in points])
+
+
+def custom_origins_case():
+    geom = ArrayGeometry(n_sub=3, nx=3, ny=2, d=0.05, wavelength=0.1,
+                         element_size=0.025, boresight_exp=2,
+                         sub_array_origins=((-1.0, 0.2, 0.0), (0.0, -0.3, 0.0),
+                                            (0.7, 0.5, 0.0)))
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(-2, 2, 40), rng.uniform(-1, 1, 40),
+                              rng.uniform(0.01, 3, 40)])
+    return geom, points
+
+
+def boresight_case():
+    geom = paper_geometry(4)
+    c = sub_array_center(geom, 2)
+    return geom, [(c[0], c[1], 1.3), (0.3, 0.1, 0.8), (-2.5, 0.0, 0.05)]
+
+
+def single_element_case():
+    return single_element_geometry(), [(0.0, 0.0, 10.0), (0.4, -0.2, 0.3)]
+
+
+class TestChannelsKernel:
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    @pytest.mark.parametrize("case", [custom_origins_case, boresight_case,
+                                      single_element_case],
+                             ids=["custom_origins", "boresight", "single_element"])
+    def test_matches_stacked_channel_calls(self, case, model):
+        geom, points = case()
+        got = channels(geom, points, model)
+        assert got.shape == (len(points), geom.n_sub, geom.n_elements)
+        np.testing.assert_allclose(got, stacked_channels(geom, points, model),
+                                   rtol=1e-14, atol=0)
+
+    def test_point_behind_plane_rejected(self):
+        with pytest.raises(ValueError, match="front"):
+            channels(paper_geometry(2), [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+
+    def test_point_near_element_rejected(self):
+        geom = paper_geometry(2)
+        elem = element_positions(geom, 1)[37]
+        near = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
+        with pytest.raises(ValueError, match="degenerate"):
+            channels(geom, [(0.0, 0.0, 1.0), near])
+
+    def test_unknown_amplitude_model(self):
+        with pytest.raises(ValueError, match="amplitude model"):
+            channels(single_element_geometry(), [(0.0, 0.0, 1.0)], "flat")
 
 
 class TestChannelSet:

@@ -8,7 +8,15 @@ target-user pair) with explicit element-level inner products.
 import numpy as np
 import pytest
 
-from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
+from xlwpt import power
+from xlwpt.geometry import (
+    MIN_USER_DISTANCE,
+    ArrayGeometry,
+    UserPosition,
+    build_channel_set,
+    channel,
+    element_positions,
+)
 from xlwpt.power import (
     AllocationState,
     PowerConfig,
@@ -255,6 +263,63 @@ class TestPowerMap:
                   for z in np.linspace(0.2, 1.5, 4)]
         vals = power_map(geom, alloc, ch, probes)
         assert np.all(vals >= 0.0)
+
+
+def power_map_oracle(geom, alloc, ch, probes, amplitude_model):
+    """Per-probe loop over scalar channel() calls and element inner products."""
+    coef = alloc.a[:, None] * ch.kappa * np.sqrt(alloc.omega)
+    values = []
+    for p in probes:
+        if p[2] <= 0:
+            values.append(0.0)
+            continue
+        t = np.zeros(ch.n_users, dtype=complex)
+        for s in range(geom.n_sub):
+            gq = channel(geom, s, p, amplitude_model)
+            for m in range(ch.n_users):
+                t[m] += coef[s, m] * np.vdot(ch.g[s, m], gq)
+        values.append(np.sum(np.abs(t) ** 2))
+    return np.array(values)
+
+
+class TestPowerMapChunks:
+    """power_map synthesizes probe channels in chunks of whole probes."""
+
+    def setup_method(self):
+        self.geom, self.ch = small_channel_set()
+        self.alloc = random_allocation(self.ch, PowerConfig(),
+                                       np.random.default_rng(8))
+        self.step = max(1, power._MAP_CHUNK_ENTRIES
+                        // (self.geom.n_sub * self.geom.n_elements))
+
+    def probes(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(-1.5, 1.5, n),
+                                rng.uniform(-0.3, 0.3, n),
+                                rng.uniform(0.05, 2.0, n)])
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    @pytest.mark.parametrize("full_chunks, extra", [(0, 0), (0, 1), (2, 7)])
+    def test_matches_loop_oracle(self, model, full_chunks, extra):
+        # no probes, one probe, and a count that is not a multiple of the
+        # chunk with behind-plane probes inside chunks
+        probes = self.probes(full_chunks * self.step + extra)
+        for i in (3, self.step - 1, self.step, 2 * self.step + 2):
+            if i < len(probes):
+                probes[i, 2] = -0.5 if i % 2 else 0.0
+        got = power_map(self.geom, self.alloc, self.ch, probes,
+                        amplitude_model=model)
+        want = power_map_oracle(self.geom, self.alloc, self.ch, probes, model)
+        assert got.shape == (len(probes),)
+        assert np.all(got[probes[:, 2] <= 0] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_probe_near_element_rejected(self):
+        elem = element_positions(self.geom, 1)[5]
+        probes = self.probes(self.step + 3)
+        probes[self.step + 1] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
+        with pytest.raises(ValueError, match="degenerate"):
+            power_map(self.geom, self.alloc, self.ch, probes)
 
 
 class TestPowerConfig:
