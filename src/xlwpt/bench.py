@@ -3,7 +3,6 @@
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,8 +11,6 @@ from . import baselines
 from .pa import export_pa_trace_csv
 from .power import power_map
 from .sa import export_report_json
-
-WORKERS_ENV = "XLWPT_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -32,13 +29,6 @@ class SweepSpec:
             raise ValueError("sweep needs a non-empty value list")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-
-
-def worker_count():
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def run_methods(cfg, outdir=None):
@@ -122,14 +112,8 @@ def _sweep_cell(cfg, spec, value, rep):
 def sweep(cfg, spec, outdir):
     """Run every value x repetition cell; emit long-form and per-axis CSVs."""
     os.makedirs(outdir, exist_ok=True)
-    cells = [(v, rep) for v in spec.values for rep in range(spec.repetitions)]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda c: _sweep_cell(cfg, spec, *c), cells))
-    else:
-        blocks = [_sweep_cell(cfg, spec, v, rep) for v, rep in cells]
-    rows = [row for block in blocks for row in block]
+    rows = [row for v in spec.values for rep in range(spec.repetitions)
+            for row in _sweep_cell(cfg, spec, v, rep)]
 
     def fmt(v, spec_="%.17g"):
         return "" if v is None else (spec_ % v if isinstance(v, float) else str(v))

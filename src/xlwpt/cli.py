@@ -1,8 +1,7 @@
 """Command-line benchmark harness.
 
 Subcommands: solve, sweep, powermap, bench. Config keys can be overridden
-with repeated --set section.key=value flags; XLWPT_WORKERS controls sweep
-parallelism.
+with repeated --set section.key=value flags.
 """
 
 import argparse
@@ -12,16 +11,11 @@ import sys
 from .baselines import pa_sa
 from .bench import SweepSpec, bench_timing, emit_powermap, run_methods, sweep
 from .pa import SolverFault
-from .scenario import ConfigError, ScenarioConfig, load_scenario, scenario_from_dict
+from .scenario import ConfigError, read_scenario_json, scenario_from_dict
 
 
 def _apply_overrides(path, overrides):
-    if path is None:
-        raw = {}
-    else:
-        with open(path) as fh:
-            text = fh.read().strip()
-        raw = json.loads(text) if text else {}
+    raw = {} if path is None else read_scenario_json(path)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError("--set expects section.key=value, got %r" % item)
@@ -33,7 +27,11 @@ def _apply_overrides(path, overrides):
             pass  # keep as string
         node = raw
         for p in parts[:-1]:
+            if not isinstance(node, dict):
+                break
             node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError("--set %s: its section is not a JSON object" % key)
         node[parts[-1]] = value
     return scenario_from_dict(raw)
 

@@ -56,9 +56,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_sub < 1 or self.nx < 1 or self.ny < 1:
             raise ValueError("n_sub, nx and ny must all be >= 1")
-        if self.d <= 0 or self.wavelength <= 0 or self.element_size <= 0:
+        if not (self.d > 0 and self.wavelength > 0 and self.element_size > 0):
             raise ValueError("d, wavelength and element_size must be positive")
-        if self.boresight_exp < 0:
+        if not self.boresight_exp >= 0:
             raise ValueError("boresight_exp must be >= 0")
         if self.sub_array_origins is None:
             object.__setattr__(

@@ -16,6 +16,7 @@ from .power import AllocationState, consumed_power, harvested_power
 LAMBDA_SLACK = 1e-9          # relative tolerance on the Dinkelbach monotonicity check
 _STALL_WINDOW = 10           # DR iterations between step-size stall checks
 _STALL_SHRINK = 0.25         # step-size shrink factor when DR residual stalls
+_PGA_MAX_ITER = 500          # iteration cap of the monotone ascent safeguard
 
 
 class SolverFault(RuntimeError):
@@ -34,7 +35,6 @@ class PAConfig:
     lambda0 : initial ratio guess; None starts from the HPE of the
         initial iterate, which keeps the ratio trace non-decreasing
         from the very first update
-    pga_max_iter : iteration cap of the monotone ascent safeguard
     """
 
     epsilon: float = 1e-7
@@ -42,11 +42,10 @@ class PAConfig:
     max_dr: int = 600
     dr_residual_tol: float = 1e-6
     gamma: float = 0.08
-    lambda0: float = None
-    pga_max_iter: int = 500
+    lambda0: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.gamma <= 0 or self.dr_residual_tol <= 0:
+        if not (self.epsilon > 0 and self.gamma > 0 and self.dr_residual_tol > 0):
             raise ValueError("epsilon, gamma and dr_residual_tol must be positive")
         if self.max_outer < 1 or self.max_dr < 1:
             raise ValueError("iteration caps must be >= 1")
@@ -210,7 +209,7 @@ def _dead_columns(ch, a_tilde):
 
 
 def _pga_polish(omega, quad, slope, fixed, lam, p_sub, p_total, active, dead,
-                lam_max, max_iter):
+                lam_max):
     """Monotone projected-gradient ascent on phi in q-space.
 
     Never returns a point with smaller phi than the (feasible) input.
@@ -226,7 +225,7 @@ def _pga_polish(omega, quad, slope, fixed, lam, p_sub, p_total, active, dead,
     lip = 2.0 * lam_max + 2.0 * lam * float(np.max(slope)) if lam_max + lam > 0 else 1.0
     step = 1.0 / lip if lip > 0 else 1.0
     floor = step * 1e-12
-    for _ in range(max_iter):
+    for _ in range(_PGA_MAX_ITER):
         grad = 2.0 * np.einsum("mst,tm->sm", quad, q) - 2.0 * lam * slope * q
         trial_q = np.maximum(q + step * grad, 0.0)
         trial = project_feasible(trial_q**2, p_sub, p_total, active)
@@ -312,11 +311,9 @@ def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
     # ascend from both the DR candidate and the start: q = 0 entries are
     # stationary under the sqrt substitution, so a single seed can get stuck
     omega, phi = _pga_polish(candidate, quad, slope, fixed, lam, p_sub,
-                             p_total, active, dead, lam_max,
-                             pa_cfg.pga_max_iter)
+                             p_total, active, dead, lam_max)
     omega2, phi2 = _pga_polish(start, quad, slope, fixed, lam, p_sub,
-                               p_total, active, dead, lam_max,
-                               pa_cfg.pga_max_iter)
+                               p_total, active, dead, lam_max)
     if phi2 > phi:
         omega, phi = omega2, phi2
     info = {

@@ -32,8 +32,10 @@ class PowerConfig:
     def __post_init__(self):
         if not 0 < self.varsigma <= 1:
             raise ValueError("varsigma must lie in (0, 1]")
-        for name in ("p_et", "p_syn", "p_ct", "p_cr"):
-            if getattr(self, name) < 0:
+        if not self.p_et > 0:
+            raise ValueError("p_et must be positive")
+        for name in ("p_syn", "p_ct", "p_cr"):
+            if not getattr(self, name) >= 0:
                 raise ValueError("%s must be >= 0" % name)
 
     def p_sub(self, n_elements):

@@ -27,7 +27,7 @@ class SAConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -197,11 +197,3 @@ def export_report_json(report, alloc, path):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def export_hpe_trace_csv(report, path):
-    """Outer-iteration HPE trace as CSV."""
-    lines = ["iteration,hpe"]
-    for i, v in enumerate(report.hpe_trace, start=1):
-        lines.append("%d,%.17g" % (i, v))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -2,28 +2,18 @@
 
 import json
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import ArrayGeometry, UserPosition, build_channel_set, near_field_boundary
+from .geometry import AMPLITUDE_MODELS, ArrayGeometry, UserPosition, build_channel_set
 from .pa import PAConfig
 from .power import PowerConfig
 from .sa import SAConfig
 
 KNOWN_METHODS = ("PA-SA", "PA-FA", "PA-ES", "EA-FA")
-
-_GEOMETRY_KEYS = {"S", "Nx", "Ny", "d", "lambda", "D", "b", "origins",
-                  "amplitude_model"}
-_USER_KEYS = {"positions", "clusters"}
-_CLUSTER_KEYS = {"V", "count", "range", "radius", "arc_deg"}
-_POWER_KEYS = {"varsigma", "P_et", "P_syn", "P_ct", "P_cr"}
-_SOLVER_KEYS = {"epsilon", "delta", "gamma", "lambda0", "max_outer", "max_dr",
-                "dr_residual_tol", "max_sa_iters", "warm_start", "seed",
-                "es_cap"}
-_OUTPUT_KEYS = {"dir", "artifacts"}
-_TOP_KEYS = {"geometry", "users", "power", "solver", "methods", "outputs"}
+ARTIFACTS = ("results", "traces", "allocation")
 
 
 class ConfigError(ValueError):
@@ -45,6 +35,12 @@ class ClusterSpec:
     radius_m: float = 0.15
     arc_deg: float = 80.0
 
+    def __post_init__(self):
+        if not 1 <= self.n_vr <= self.count:
+            raise ConfigError("need count >= V >= 1 users")
+        if not (self.range_m > 0 and self.radius_m > 0 and self.arc_deg > 0):
+            raise ConfigError("range, radius and arc_deg must be positive")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -57,25 +53,44 @@ class ScenarioConfig:
     wavelength: float = 0.1
     element_size: float = 0.025
     boresight_exp: float = 2.0
-    origins: tuple = None
+    origins: tuple[tuple[float, ...], ...] | None = None
     amplitude_model: str = "center"
-    positions: tuple = None            # explicit (x, y, z, vr) rows, or None
+    # explicit (x, y, z, vr) rows; None draws users from the clusters
+    positions: tuple[tuple[float, ...], ...] | None = None
     clusters: ClusterSpec = field(default_factory=ClusterSpec)
     power: PowerConfig = field(default_factory=PowerConfig)
-    epsilon: float = 1e-7
-    delta: float = 1e-3
-    gamma: float = 0.08
-    lambda0: float = None
-    max_outer: int = 200
-    max_dr: int = 600
-    dr_residual_tol: float = 1e-6
-    max_sa_iters: int = 30
-    warm_start: bool = True
+    pa: PAConfig = field(default_factory=PAConfig)
+    sa: SAConfig = field(default_factory=SAConfig)
     seed: int = 0
     es_cap: int = 12
-    methods: tuple = ("PA-SA", "PA-FA", "PA-ES", "EA-FA")
+    methods: tuple[str, ...] = KNOWN_METHODS
     output_dir: str = "out"
-    artifacts: tuple = ("results", "traces", "allocation")
+    artifacts: tuple[str, ...] = ARTIFACTS
+
+    def __post_init__(self):
+        if self.amplitude_model not in AMPLITUDE_MODELS:
+            raise ValueError("unknown amplitude model %r" % (self.amplitude_model,))
+        self.geometry()  # ArrayGeometry rejects an invalid layout
+        if self.positions is not None:
+            if not self.positions:
+                raise ValueError("need at least one user position")
+            for p in self.positions:
+                if len(p) != 4 or not all(math.isfinite(v) for v in p):
+                    raise ValueError("each user position needs four finite "
+                                     "numbers [x, y, z, vr]")
+                if not p[2] > 0:
+                    raise ValueError("user z must be positive")
+                if not (p[3] >= 1 and p[3] == int(p[3])):
+                    raise ValueError("user VR label must be an integer >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.es_cap < 1:
+            raise ValueError("es_cap must be >= 1")
+        for name, known in (("methods", KNOWN_METHODS), ("artifacts", ARTIFACTS)):
+            chosen = getattr(self, name)
+            if not chosen or any(v not in known for v in chosen):
+                raise ValueError("%s must be a non-empty list of %s"
+                                 % (name, ", ".join(known)))
 
     def geometry(self):
         return ArrayGeometry(n_sub=self.n_sub, nx=self.nx, ny=self.ny,
@@ -85,14 +100,10 @@ class ScenarioConfig:
                              sub_array_origins=self.origins)
 
     def pa_config(self):
-        return PAConfig(epsilon=self.epsilon, max_outer=self.max_outer,
-                        max_dr=self.max_dr,
-                        dr_residual_tol=self.dr_residual_tol,
-                        gamma=self.gamma, lambda0=self.lambda0)
+        return self.pa
 
     def sa_config(self):
-        return SAConfig(delta=self.delta, max_iters=self.max_sa_iters,
-                        warm_start=self.warm_start)
+        return self.sa
 
     def users(self, rng=None):
         """Materialize user positions, explicit or cluster-generated."""
@@ -116,8 +127,6 @@ def cluster_sizes(count, n_vr):
 
 def generate_cluster_users(spec, rng):
     """Draw users around V arc-placed cluster centers; seeded and S-independent."""
-    if spec.n_vr < 1 or spec.count < spec.n_vr:
-        raise ConfigError("need count >= V >= 1 users")
     half = math.radians(spec.arc_deg) / 2.0
     if spec.n_vr == 1:
         # a single moderately off-center VR: far enough from boresight that
@@ -141,133 +150,142 @@ def generate_cluster_users(spec, rng):
     return users
 
 
-def _check_keys(section, given, allowed):
-    unknown = set(given) - allowed
-    if unknown:
-        raise ConfigError("unknown %s key(s): %s"
-                          % (section, ", ".join(sorted(unknown))))
+# Scenario JSON key -> ScenarioConfig field it sets; "pa.gamma" is the gamma
+# field of the nested PAConfig. The field's annotation types the JSON value.
+SCHEMA = {
+    "geometry.S": "n_sub",
+    "geometry.Nx": "nx",
+    "geometry.Ny": "ny",
+    "geometry.d": "d",
+    "geometry.lambda": "wavelength",
+    "geometry.D": "element_size",
+    "geometry.b": "boresight_exp",
+    "geometry.origins": "origins",
+    "geometry.amplitude_model": "amplitude_model",
+    "users.positions": "positions",
+    "users.clusters.V": "clusters.n_vr",
+    "users.clusters.count": "clusters.count",
+    "users.clusters.range": "clusters.range_m",
+    "users.clusters.radius": "clusters.radius_m",
+    "users.clusters.arc_deg": "clusters.arc_deg",
+    "power.varsigma": "power.varsigma",
+    "power.P_et": "power.p_et",
+    "power.P_syn": "power.p_syn",
+    "power.P_ct": "power.p_ct",
+    "power.P_cr": "power.p_cr",
+    "solver.epsilon": "pa.epsilon",
+    "solver.delta": "sa.delta",
+    "solver.gamma": "pa.gamma",
+    "solver.lambda0": "pa.lambda0",
+    "solver.max_outer": "pa.max_outer",
+    "solver.max_dr": "pa.max_dr",
+    "solver.dr_residual_tol": "pa.dr_residual_tol",
+    "solver.max_sa_iters": "sa.max_iters",
+    "solver.warm_start": "sa.warm_start",
+    "solver.seed": "seed",
+    "solver.es_cap": "es_cap",
+    "methods": "methods",
+    "outputs.dir": "output_dir",
+    "outputs.artifacts": "artifacts",
+}
+_SECTIONS = {key.rpartition(".")[0] for key in SCHEMA} - {""}
+# the config class behind each SCHEMA field prefix
+_OWNERS = {"": ScenarioConfig, "clusters": ClusterSpec, "power": PowerConfig,
+           "pa": PAConfig, "sa": SAConfig}
+_TYPE_NAMES = {int: "an integer", float: "a finite number",
+               bool: "true or false", str: "a string"}
 
 
-def _positive(section, data, keys):
-    for k in keys:
-        if k in data and not data[k] > 0:
-            raise ConfigError("%s.%s must be positive" % (section, k))
+def _typed(key, value, kind):
+    """Check a JSON value against a field annotation; returns the field value."""
+    args = typing.get_args(kind)
+    if type(None) in args:                      # X | None
+        return None if value is None else _typed(key, value, args[0])
+    if typing.get_origin(kind) is tuple:        # tuple[X, ...]
+        if isinstance(value, list):
+            return tuple(_typed("%s[%d]" % (key, i), v, args[0])
+                         for i, v in enumerate(value))
+    elif kind is float:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+    elif isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    raise ConfigError("%s must be %s, got %r"
+                      % (key, _TYPE_NAMES.get(kind, "a list"), value))
+
+
+def _flatten(raw, prefix=""):
+    """Yield (key, value) for every setting in a scenario JSON object."""
+    if not isinstance(raw, dict):
+        raise ConfigError("%s must be a JSON object" % (prefix[:-1] or "scenario"))
+    for name, value in raw.items():
+        key = prefix + name
+        if key in _SECTIONS:
+            yield from _flatten(value, key + ".")
+        elif key in SCHEMA:
+            yield key, value
+        else:
+            raise ConfigError("unknown scenario key %s" % key)
+
+
+def _build(cls, assigned, **nested):
+    """cls(**nested) plus the fields each JSON key in ``assigned`` sets.
+
+    A ValueError or TypeError becomes a ConfigError that names the keys
+    rejected on their own, or every given key when only their combination
+    is invalid.
+    """
+    def make(*keys):
+        kwargs = dict(nested)
+        for key in keys:
+            kwargs.update(assigned[key])
+        return cls(**kwargs)
+
+    try:
+        return make(*assigned)
+    except (TypeError, ValueError) as exc:
+        error = exc
+    bad = []
+    for key in assigned:
+        try:
+            make(key)
+        except (TypeError, ValueError):
+            bad.append(key)
+    raise ConfigError("%s: %s" % (", ".join(bad or assigned), error)) from error
+
+
+def read_scenario_json(path):
+    """The parsed JSON of a scenario file; an empty file reads as {}."""
+    with open(path) as fh:
+        text = fh.read().strip()
+    return json.loads(text) if text else {}
 
 
 def load_scenario(path):
     """Parse and validate a JSON scenario file; empty files yield defaults."""
-    with open(path) as fh:
-        text = fh.read().strip()
-    raw = json.loads(text) if text else {}
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must hold a JSON object")
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_scenario_json(path))
 
 
 def scenario_from_dict(raw):
-    _check_keys("top-level", raw, _TOP_KEYS)
-    cfg = ScenarioConfig()
+    """Build a ScenarioConfig from a parsed scenario JSON object.
 
-    geo = raw.get("geometry", {})
-    _check_keys("geometry", geo, _GEOMETRY_KEYS)
-    _positive("geometry", geo, ("S", "Nx", "Ny", "d", "lambda", "D"))
-    if "b" in geo and geo["b"] < 0:
-        raise ConfigError("geometry.b must be >= 0")
-    cfg = replace(
-        cfg,
-        n_sub=int(geo.get("S", cfg.n_sub)),
-        nx=int(geo.get("Nx", cfg.nx)),
-        ny=int(geo.get("Ny", cfg.ny)),
-        wavelength=float(geo.get("lambda", cfg.wavelength)),
-        element_size=float(geo.get("D", geo.get("lambda", cfg.wavelength) / 4.0)),
-        boresight_exp=float(geo.get("b", cfg.boresight_exp)),
-        amplitude_model=geo.get("amplitude_model", cfg.amplitude_model),
-    )
-    cfg = replace(cfg, d=float(geo.get("d", cfg.wavelength / 2.0)))
-    if "origins" in geo:
-        cfg = replace(cfg, origins=tuple(tuple(o) for o in geo["origins"]))
-
-    usr = raw.get("users", {})
-    _check_keys("users", usr, _USER_KEYS)
-    if "positions" in usr:
-        rows = tuple(tuple(float(v) for v in p) for p in usr["positions"])
-        for p in rows:
-            if len(p) != 4:
-                raise ConfigError("each user position needs [x, y, z, vr]")
-            if p[2] <= 0:
-                raise ConfigError("user z must be positive")
-        cfg = replace(cfg, positions=rows)
-    if "clusters" in usr:
-        cl = usr["clusters"]
-        _check_keys("users.clusters", cl, _CLUSTER_KEYS)
-        _positive("users.clusters", cl, ("V", "count", "range", "radius", "arc_deg"))
-        cfg = replace(cfg, clusters=ClusterSpec(
-            n_vr=int(cl.get("V", cfg.clusters.n_vr)),
-            count=int(cl.get("count", cfg.clusters.count)),
-            range_m=float(cl.get("range", cfg.clusters.range_m)),
-            radius_m=float(cl.get("radius", cfg.clusters.radius_m)),
-            arc_deg=float(cl.get("arc_deg", cfg.clusters.arc_deg)),
-        ))
-        if cfg.clusters.count < cfg.clusters.n_vr:
-            raise ConfigError("users.clusters.count must be >= V")
-
-    pwr = raw.get("power", {})
-    _check_keys("power", pwr, _POWER_KEYS)
-    _positive("power", pwr, ("varsigma", "P_et"))
-    for k in ("P_syn", "P_ct", "P_cr"):
-        if k in pwr and pwr[k] < 0:
-            raise ConfigError("power.%s must be >= 0" % k)
-    cfg = replace(cfg, power=PowerConfig(
-        varsigma=float(pwr.get("varsigma", cfg.power.varsigma)),
-        p_et=float(pwr.get("P_et", cfg.power.p_et)),
-        p_syn=float(pwr.get("P_syn", cfg.power.p_syn)),
-        p_ct=float(pwr.get("P_ct", cfg.power.p_ct)),
-        p_cr=float(pwr.get("P_cr", cfg.power.p_cr)),
-    ))
-
-    sol = raw.get("solver", {})
-    _check_keys("solver", sol, _SOLVER_KEYS)
-    _positive("solver", sol, ("epsilon", "delta", "gamma", "dr_residual_tol"))
-    cfg = replace(
-        cfg,
-        epsilon=float(sol.get("epsilon", cfg.epsilon)),
-        delta=float(sol.get("delta", cfg.delta)),
-        gamma=float(sol.get("gamma", cfg.gamma)),
-        lambda0=sol.get("lambda0", cfg.lambda0),
-        max_outer=int(sol.get("max_outer", cfg.max_outer)),
-        max_dr=int(sol.get("max_dr", cfg.max_dr)),
-        dr_residual_tol=float(sol.get("dr_residual_tol", cfg.dr_residual_tol)),
-        max_sa_iters=int(sol.get("max_sa_iters", cfg.max_sa_iters)),
-        warm_start=bool(sol.get("warm_start", cfg.warm_start)),
-        seed=int(sol.get("seed", cfg.seed)),
-        es_cap=int(sol.get("es_cap", cfg.es_cap)),
-    )
-
-    if "methods" in raw:
-        methods = tuple(raw["methods"])
-        for m in methods:
-            if m not in KNOWN_METHODS:
-                raise ConfigError("unknown method %r" % (m,))
-        cfg = replace(cfg, methods=methods)
-
-    out = raw.get("outputs", {})
-    _check_keys("outputs", out, _OUTPUT_KEYS)
-    cfg = replace(cfg,
-                  output_dir=out.get("dir", cfg.output_dir),
-                  artifacts=tuple(out.get("artifacts", cfg.artifacts)))
-
-    _warn_out_of_region(cfg)
-    return cfg
-
-
-def _warn_out_of_region(cfg):
-    geom = cfg.geometry()
-    boundary = near_field_boundary(geom)
-    for i, u in enumerate(cfg.users()):
-        r = float(np.linalg.norm(u.coords))
-        if r > boundary:
-            warnings.warn(
-                "user %d at range %.3g m is beyond the near-field service "
-                "boundary %.3g m; results may be far-field-like" % (i, r, boundary),
-                stacklevel=3,
-            )
+    Every key must be in SCHEMA and every value of its field's type; any
+    value a config's ``__post_init__`` rejects raises ConfigError too.
+    """
+    assigned = {owner: {} for owner in _OWNERS}
+    for key, value in _flatten(raw):
+        owner, _, name = SCHEMA[key].rpartition(".")
+        kind = next(f.type for f in fields(_OWNERS[owner]) if f.name == name)
+        assigned[owner][key] = {name: _typed(key, value, kind)}
+    geo = assigned[""]
+    if "geometry.lambda" in geo:
+        # d and D track the wavelength unless given explicitly
+        lam = geo["geometry.lambda"]
+        if "geometry.d" not in geo:
+            lam["d"] = lam["wavelength"] / 2.0
+        if "geometry.D" not in geo:
+            lam["element_size"] = lam["wavelength"] / 4.0
+    nested = {owner: _build(cls, assigned[owner])
+              for owner, cls in _OWNERS.items() if owner}
+    return _build(ScenarioConfig, assigned[""], **nested)

@@ -1,7 +1,7 @@
 """Orchestration and command-line harness tests."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,12 +13,11 @@ from xlwpt.bench import (
     emit_powermap,
     run_methods,
     sweep,
-    worker_count,
 )
 from xlwpt.cli import main
 from xlwpt.power import received_power_per_user
 from xlwpt.sa import SolveReport
-from xlwpt.scenario import ScenarioConfig, ClusterSpec
+from xlwpt.scenario import ScenarioConfig, ClusterSpec, scenario_from_dict
 
 
 def small_cfg(**kw):
@@ -131,27 +130,6 @@ class TestSweep:
             value, method, mean = line.split(",")
             got[(value, method)] = float(mean)
         assert got[("3", "PA-SA")] == pytest.approx(wanted)
-
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        cfg = small_cfg(methods=("EA-FA", "PA-SA"))
-        spec = SweepSpec(variable="S", values=(2, 3), repetitions=1)
-        monkeypatch.delenv("XLWPT_WORKERS", raising=False)
-        sweep(cfg, spec, str(tmp_path / "serial"))
-        monkeypatch.setenv("XLWPT_WORKERS", "4")
-        sweep(cfg, spec, str(tmp_path / "par"))
-        t1 = mask_timings((tmp_path / "serial" / "sweep_raw.csv").read_text())
-        t2 = mask_timings((tmp_path / "par" / "sweep_raw.csv").read_text())
-        assert t1 == t2
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("XLWPT_WORKERS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("XLWPT_WORKERS", "6")
-        assert worker_count() == 6
-        monkeypatch.setenv("XLWPT_WORKERS", "junk")
-        assert worker_count() == 1
-        monkeypatch.setenv("XLWPT_WORKERS", "-3")
-        assert worker_count() == 1
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
@@ -316,3 +294,48 @@ class TestCLI:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "FAULT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        ['solver.lambda0="abc"'], ['geometry.S="4"'], ["geometry=[]"],
+        ["geometry=[]", "geometry.S=4"]])
+    def test_invalid_override_exit_code(self, tmp_path, capsys, overrides):
+        out = tmp_path / "o"
+        flags = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["solve", *flags, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and "error:" in printed.err
+        assert not out.exists()
+
+
+class TestBenchmarkScenarios:
+    """The scenario dicts the benchmark builds keep every setting's value."""
+
+    @pytest.mark.parametrize("n_sub, n_vr, methods", [
+        (8, 2, ["EA-FA", "PA-SA", "PA-ES"]),
+        (10, 1, ["EA-FA", "PA-FA", "PA-SA"]),
+        (16, 2, ["EA-FA", "PA-FA", "PA-SA"]),
+        (None, None, None),
+    ])
+    def test_fields(self, n_sub, n_vr, methods):
+        raw = {"solver": {"seed": 5}}
+        if n_sub is not None:
+            raw.update(geometry={"S": n_sub}, users={"clusters": {"V": n_vr}},
+                       methods=methods)
+        cfg = scenario_from_dict(raw)
+        assert asdict(cfg) == {
+            "n_sub": n_sub or 6, "nx": 32, "ny": 8, "d": 0.05,
+            "wavelength": 0.1, "element_size": 0.025, "boresight_exp": 2.0,
+            "origins": None, "amplitude_model": "center", "positions": None,
+            "clusters": {"n_vr": n_vr or 2, "count": 3, "range_m": 1.1,
+                         "radius_m": 0.15, "arc_deg": 80.0},
+            "power": {"varsigma": 0.35, "p_et": 0.05, "p_syn": 0.05,
+                      "p_ct": 0.0482, "p_cr": 0.0625},
+            "pa": {"epsilon": 1e-7, "max_outer": 200, "max_dr": 600,
+                   "dr_residual_tol": 1e-6, "gamma": 0.08, "lambda0": None},
+            "sa": {"delta": 1e-3, "max_iters": 30, "warm_start": True},
+            "seed": 5, "es_cap": 12,
+            "methods": tuple(methods or ("PA-SA", "PA-FA", "PA-ES", "EA-FA")),
+            "output_dir": "out",
+            "artifacts": ("results", "traces", "allocation"),
+        }
+        assert cfg.pa_config() is cfg.pa and cfg.sa_config() is cfg.sa

@@ -11,7 +11,6 @@ from xlwpt.power import AllocationState, PowerConfig, hpe
 from xlwpt.sa import (
     SAConfig,
     activation_update,
-    export_hpe_trace_csv,
     export_report_json,
     joint_solve,
     parameterize,
@@ -145,13 +144,3 @@ class TestExports:
         assert data["final_hpe"] == pytest.approx(report.final_hpe)
         assert data["allocation"]["a"] == [int(v) for v in alloc.a]
         assert len(data["hpe_trace"]) == report.outer_iterations
-
-    def test_trace_csv(self, tmp_path):
-        geom, ch = clustered_channels(seed=8)
-        _, report = joint_solve(ch, PAConfig(), SAConfig(), PowerConfig())
-        path = tmp_path / "trace.csv"
-        export_hpe_trace_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,hpe"
-        assert len(lines) == 1 + len(report.hpe_trace)
-        assert float(lines[1].split(",")[1]) == pytest.approx(report.hpe_trace[0])

@@ -43,8 +43,8 @@ class TestDefaults:
         assert cfg.power.p_syn == 0.05
         assert cfg.power.p_ct == 0.0482
         assert cfg.power.p_cr == 0.0625
-        assert cfg.epsilon == 1e-7
-        assert cfg.delta == 1e-3
+        assert cfg.pa.epsilon == 1e-7
+        assert cfg.sa.delta == 1e-3
         assert cfg.clusters.count == 3
 
     def test_derived_budgets(self):
@@ -71,7 +71,7 @@ class TestParsing:
         assert cfg.element_size == pytest.approx(0.05)
         assert cfg.clusters.n_vr == 1 and cfg.clusters.count == 2
         assert cfg.power.varsigma == 0.5
-        assert cfg.epsilon == 1e-6 and cfg.seed == 9
+        assert cfg.pa.epsilon == 1e-6 and cfg.seed == 9
         assert cfg.methods == ("EA-FA", "PA-SA")
         assert cfg.output_dir == "elsewhere"
 
@@ -103,6 +103,41 @@ class TestParsing:
             scenario_from_dict({"users": {"clusters": {"V": 3, "count": 2}}})
         with pytest.raises(ConfigError):
             scenario_from_dict({"methods": ["PA-XX"]})
+
+    @pytest.mark.parametrize("raw", [
+        {"solver": {"lambda0": "abc"}},
+        {"geometry": {"S": "4"}},
+        {"power": {"P_syn": "a"}},
+        {"geometry": []},
+        {"solver": {"es_cap": -1}},
+        {"solver": {"warm_start": "no"}},
+        {"geometry": {"S": 2.9}},
+        {"users": {"clusters": {"V": 2.5}}},
+        {"solver": {"gamma": math.inf}},
+        {"users": {"positions": [[0.1, 0.0, math.nan, 1]]}},
+        {"solver": {"max_outer": 0}},
+        {"solver": {"seed": "x"}},
+        {"solver": {"seed": 1.7}},
+        {"geometry": {"S": True}},
+        {"geometry": {"amplitude_model": "foo"}},
+        {"geometry": {"S": 2, "origins": [[-1.0, 0.0, 0.0]]}},
+        {"power": {"varsigma": 2}},
+        {"users": {"positions": [[math.inf, 0.0, 1.0, 1]]}},
+        {"users": {"positions": [[0.1, 0.0, 1.0, 0]]}},
+        {"outputs": {"artifacts": "results"}},
+        {"outputs": {"dir": 3}},
+        {"methods": []},
+        {"solver": {"epsilon": math.nan}},
+    ])
+    def test_invalid_input_table(self, raw):
+        with pytest.raises(ConfigError):
+            scenario_from_dict(raw)
+
+    def test_error_names_the_key(self):
+        with pytest.raises(ConfigError, match=r"^solver\.max_sa_iters: "):
+            scenario_from_dict({"solver": {"max_sa_iters": 0}})
+        with pytest.raises(ConfigError, match=r"^users\.clusters\.V, users\.clusters\.count: "):
+            scenario_from_dict({"users": {"clusters": {"V": 3, "count": 2}}})
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -174,6 +209,7 @@ class TestBuilders:
         assert pa_cfg.epsilon == 1e-7
         sa_cfg = cfg.sa_config()
         assert sa_cfg.delta == 1e-3
+        assert pa_cfg is cfg.pa and sa_cfg is cfg.sa
 
     def test_channel_set_shape(self):
         cfg = replace(ScenarioConfig(), n_sub=3, nx=8, ny=2)
