@@ -17,7 +17,7 @@ result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
 
 extent = (-2.0, 2.0, 0.1, 2.0)
 grid = emit_powermap(cfg, result.allocation, plane="xz", extent=extent,
-                     resolution=41, path="/tmp/xlwpt_powermap.csv")
+                     resolution=41, path="xlwpt_powermap.csv", ch=ch)
 
 shades = " .:-=+*#%@"
 top = grid.max()
@@ -29,5 +29,5 @@ for row in grid[::-1]:
 print("\nusers:")
 for u in cfg.users():
     print("  x=%+.2f z=%.2f (VR %d)" % (u.x, u.z, u.vr_label))
-print("\nfull raster written to /tmp/xlwpt_powermap.csv")
+print("\nfull raster written to xlwpt_powermap.csv")
 print("active modules:", np.nonzero(result.allocation.a)[0].tolist())

@@ -15,12 +15,14 @@ from .sa import export_report_json
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis: variable name, values, repetitions, seed policy."""
+    """One sweep axis: variable name, values, repetitions.
+
+    Repetition r of a cell runs with seed ``cfg.seed + r``.
+    """
 
     variable: str                  # "S" or "V"
     values: tuple
     repetitions: int = 1
-    seed_policy: str = "offset"    # seed + repetition index
 
     def __post_init__(self):
         if self.variable not in ("S", "V"):
@@ -59,7 +61,9 @@ def run_methods(cfg, outdir=None):
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        n_vr = len({u.vr_label for u in cfg.users()})
+        # every cluster holds at least one user, since count >= V
+        n_vr = (cfg.clusters.n_vr if cfg.positions is None
+                 else len({int(p[3]) for p in cfg.positions}))
         if "results" in cfg.artifacts:
             baselines.results_to_csv(results, os.path.join(outdir, "results.csv"),
                                      n_sub=cfg.n_sub, n_vr=n_vr)
@@ -153,14 +157,18 @@ def _emit_aggregate(rows, spec, outdir, column, filename, number_fmt="%.17g"):
 
 
 def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
-                  path="powermap.csv", fixed_coord=0.0):
-    """Raster of harvested power seen by a probe over one coordinate plane."""
+                  path="powermap.csv", fixed_coord=0.0, ch=None):
+    """Raster of harvested power seen by a probe over one coordinate plane.
+
+    ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
+    """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if plane not in ("xz", "yz", "xy"):
         raise ValueError("plane must be one of xz, yz, xy")
     geom = cfg.geometry()
-    ch = cfg.channel_set()
+    if ch is None:
+        ch = cfg.channel_set()
     if extent is None:
         half = geom.n_sub * geom.nx * geom.d / 2.0
         extent = (-half, half, 0.05, max(2.0 * cfg.clusters.range_m, 1.0))

@@ -66,7 +66,7 @@ def _cmd_powermap(args):
     result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
     path = args.out or "powermap.csv"
     emit_powermap(cfg, result.allocation, plane=args.plane,
-                  resolution=args.res, path=path)
+                  resolution=args.res, path=path, ch=ch)
     print("power map (%s plane, %dx%d) written to %s"
           % (args.plane, args.res, args.res, path))
     return 0

@@ -84,9 +84,27 @@ class AllocationState:
 
 
 def _coherent_user_sums(ch, omega, weights):
-    """Complex coherent sums T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*."""
-    coef = weights[:, None] * ch.kappa * np.sqrt(np.maximum(omega, 0.0))
-    return np.einsum("sm,skm->km", coef, ch.gram)
+    """Complex coherent sums T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*.
+
+    Leading axes of ``omega`` (..., S, M) and ``weights`` (..., S) are lanes.
+    """
+    coef = weights[..., None] * ch.kappa * np.sqrt(np.maximum(omega, 0.0))
+    return np.einsum("...sm,skm->...km", coef, ch.gram)
+
+
+def _harvested(ch, omega, weights):
+    """Harvested power of each lane of an allocation stack [W]."""
+    t = _coherent_user_sums(ch, omega, weights)
+    return np.sum(np.sum(np.abs(t) ** 2, axis=-1), axis=-1)
+
+
+def _consumed(omega, weights, power_cfg, n_users, n_elements):
+    """Consumed power of each lane of an allocation stack [W]."""
+    row = omega.sum(axis=-1)
+    bracket = row / power_cfg.varsigma + 2.0 * power_cfg.p_syn + n_elements * power_cfg.p_ct
+    # a stacked dot: the same BLAS ddot per lane as np.dot
+    return ((weights[..., None, :] @ bracket[..., :, None])[..., 0, 0]
+            + n_users * power_cfg.p_cr)
 
 
 def received_power_per_user(ch, alloc, use_parameterized=False):
@@ -103,15 +121,13 @@ def harvested_power(ch, alloc, use_parameterized=False):
     """
     if alloc.omega.shape != (ch.n_sub, ch.n_users):
         raise ValueError("allocation dimensions do not match the channel set")
-    return float(np.sum(received_power_per_user(ch, alloc, use_parameterized)))
+    return float(_harvested(ch, alloc.omega, alloc.weights(use_parameterized)))
 
 
 def consumed_power(alloc, power_cfg, n_users, n_elements, use_parameterized=False):
     """Total power drawn by the system for the given allocation [W]."""
-    w = alloc.weights(use_parameterized)
-    row = alloc.omega.sum(axis=1)
-    bracket = row / power_cfg.varsigma + 2.0 * power_cfg.p_syn + n_elements * power_cfg.p_ct
-    return float(np.dot(w, bracket) + n_users * power_cfg.p_cr)
+    return float(_consumed(alloc.omega, alloc.weights(use_parameterized), power_cfg,
+                           n_users, n_elements))
 
 
 def hpe(ch, alloc, power_cfg, use_parameterized=False):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from xlwpt import baselines
 from xlwpt.baselines import (
     ea_fa,
     grid_oracle,
@@ -13,7 +14,7 @@ from xlwpt.baselines import (
     results_to_csv,
 )
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
-from xlwpt.pa import PAConfig
+from xlwpt.pa import PAConfig, pa_solve
 from xlwpt.power import AllocationState, PowerConfig, hpe
 
 
@@ -79,6 +80,40 @@ class TestPAES:
             omega, _ = pa_solve(ch, mask, pa_cfg, cfg)
             alloc = AllocationState(omega, mask.astype(int), mask)
             assert res.hpe >= hpe(ch, alloc, cfg) - 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_sub", [3, 5])
+    def test_lane_stacks_match_per_subset_solves(self, monkeypatch, n_sub, seed):
+        """Every lane of every stack equals a one-lane solve bit for bit.
+
+        Stacks of 4 lanes put chunk seams inside the subset range.
+        """
+        ch = make_channels(n_sub=n_sub, seed=seed)
+        pa_cfg, cfg = PAConfig(), PowerConfig()
+        lanes = []
+        solve_lanes = baselines.solve_lanes
+
+        def recording(ch_, masks, *args):
+            omegas, log = solve_lanes(ch_, masks, *args)
+            lanes.extend(zip(masks.copy(), omegas.copy()))
+            return omegas, log
+
+        monkeypatch.setattr(baselines, "_ES_CHUNK_LANES", 4)
+        monkeypatch.setattr(baselines, "solve_lanes", recording)
+        res = pa_es(ch, pa_cfg, cfg)
+
+        assert len(lanes) == res.extra["subsets_evaluated"] == 2**n_sub - 1
+        best = None
+        for index, (mask, omega) in enumerate(lanes, start=1):
+            assert mask.tolist() == [(index >> s) & 1 for s in range(n_sub)]
+            want, _ = pa_solve(ch, mask, pa_cfg, cfg)
+            assert omega.tobytes() == want.tobytes()
+            value = hpe(ch, AllocationState(want, mask.astype(int), mask), cfg)
+            key = (-value, int(mask.sum()), index)
+            if best is None or key < best[0]:
+                best = (key, value, mask.astype(int).tolist())
+        assert res.hpe == best[1]
+        assert res.allocation.a.tolist() == best[2]
 
     def test_allocation_matches_reported_active_count(self):
         ch = make_channels(n_sub=3, seed=6)

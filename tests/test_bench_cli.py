@@ -60,6 +60,16 @@ class TestRunMethods:
         assert (tmp_path / "allocation_PA-SA.json").exists()
         assert not (tmp_path / "faults.json").exists()
 
+    @pytest.mark.parametrize("users", [
+        {"clusters": ClusterSpec(n_vr=2, count=3, range_m=0.5, radius_m=0.1)},
+        {"positions": ((0.0, 0.0, 0.5, 1), (0.1, 0.0, 0.6, 3), (-0.1, 0.0, 0.6, 3))},
+    ], ids=["clusters", "positions"])
+    def test_n_vr_column_counts_user_labels(self, tmp_path, users):
+        cfg = small_cfg(methods=("EA-FA",), **users)
+        run_methods(cfg, outdir=str(tmp_path))
+        row = (tmp_path / "results.csv").read_text().splitlines()[1].split(",")
+        assert int(row[2]) == len({u.vr_label for u in cfg.users()}) == 2
+
     def test_results_csv_header(self, tmp_path):
         cfg = small_cfg(methods=("EA-FA",))
         run_methods(cfg, outdir=str(tmp_path))
@@ -269,6 +279,22 @@ class TestCLI:
                      "--out", str(path)])
         assert code == 0
         assert path.read_text().splitlines()[0] == "x_m,z_m,watts"
+
+    def test_powermap_builds_channel_set_once(self, tmp_path, monkeypatch):
+        import xlwpt.scenario as scenario
+
+        calls = []
+        build = scenario.build_channel_set
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "build_channel_set", counting)
+        code = main(["powermap", self.write_cfg(tmp_path), "--res", "3",
+                     "--out", str(tmp_path / "pm.csv")])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bench(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

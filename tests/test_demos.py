@@ -21,6 +21,8 @@ EXPECTED = {
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_demo_runs(name, capsys):
+def test_demo_runs(name, capsys, monkeypatch, tmp_path):
+    # demos write their files to the working directory
+    monkeypatch.chdir(tmp_path)
     runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
     assert EXPECTED[name] in capsys.readouterr().out

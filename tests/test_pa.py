@@ -8,6 +8,7 @@ whole-solver instances.
 import numpy as np
 import pytest
 
+from xlwpt import lanes
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
 from xlwpt.pa import (
     PAConfig,
@@ -94,6 +95,67 @@ class TestProjection:
         assert np.all(got.sum(axis=1) <= 0.3 + 1e-12)
         assert got.sum() <= 0.8 + 1e-12
         assert np.all(got[~active] == 0.0)
+
+
+class TestLaneProjection:
+    """A lane stack projects exactly as its lanes do one call at a time."""
+
+    P_SUB, P_TOTAL = 0.5, 1.2
+
+    def stack(self):
+        rng = np.random.default_rng(7)
+        v = rng.normal(0.3, 0.6, size=(6, 4, 3))
+        v[1] *= 5.0        # several overweight rows
+        v[2] += 1.0        # every row overweight, so the total budget binds
+        active = rng.random((6, 4)) < 0.7
+        active[:, 0] = True
+        return v, active
+
+    def test_stack_matches_per_lane_calls(self):
+        v, active = self.stack()
+        # the stack covers inactive rows, lanes with several overweight rows,
+        # and lanes whose total budget binds after the row caps or does not
+        row = (np.maximum(v, 0.0) * active[..., None]).sum(axis=-1)
+        capped_total = np.minimum(row, self.P_SUB).sum(axis=-1)
+        assert (~active).any()
+        assert ((row > self.P_SUB).sum(axis=-1) >= 2).any()
+        assert (capped_total > self.P_TOTAL).any()
+        assert (capped_total <= self.P_TOTAL).any()
+
+        got = project_feasible(v, self.P_SUB, self.P_TOTAL, active)
+        assert got.shape == v.shape
+        for lane in range(len(v)):
+            want = project_feasible(v[lane], self.P_SUB, self.P_TOTAL, active[lane])
+            assert got[lane].tobytes() == want.tobytes()
+
+
+class TestLaneStack:
+    def test_dr_step_lanes_match_one_lane_calls(self):
+        """Each lane's allocation and diagnostics, phi included, equal dr_solve's bits."""
+        _, ch = make_channels(n_sub=4, n_users=3, seed=3)
+        pa_cfg, power_cfg = PAConfig(), PowerConfig()
+        masks = ((np.arange(1, 16)[:, None] >> np.arange(4)) & 1).astype(float)
+        stack = lanes.Lanes.build(ch, masks, power_cfg)
+        omega0 = np.full((len(masks), 4, 3), power_cfg.p_sub(ch.n_elements) / 3)
+        omega, info = lanes.dr_step(ch, stack, np.full(len(masks), 0.01),
+                                    lanes.initial_gamma(stack.lam_max, pa_cfg),
+                                    omega0, pa_cfg, power_cfg)
+        for i, mask in enumerate(masks):
+            want, want_info = dr_solve(ch, mask, 0.01, pa_cfg, power_cfg)
+            assert omega[i].tobytes() == want.tobytes()
+            assert {k: v[i] for k, v in info.items()} == want_info
+
+
+class TestSolverChecks:
+    def test_ratio_decrease_is_a_fault(self):
+        _, ch = make_channels(n_sub=2, n_users=2, seed=1)
+        with pytest.raises(SolverFault, match="decreased"):
+            pa_solve(ch, np.ones(2), PAConfig(lambda0=1e3), PowerConfig())
+
+    def test_non_finite_prox_is_a_fault(self):
+        _, ch = make_channels(n_sub=2, n_users=2, seed=1)
+        with pytest.raises(SolverFault, match="non-finite"):
+            dr_solve(ch, np.ones(2), np.nan, PAConfig(), PowerConfig())
 
 
 class TestQuadraticForm:
