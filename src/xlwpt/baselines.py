@@ -152,18 +152,3 @@ def normalize(results):
         r.eta = r.hpe / ref.hpe
     return results
 
-
-def results_to_csv(results, path, n_sub=None, n_vr=None):
-    """Results table: method, S, V, hpe, eta, active_count, seconds."""
-    lines = ["method,n_subarrays,n_vr,hpe,eta,active_count,seconds"]
-    for r in results:
-        lines.append("%s,%s,%s,%.17g,%s,%d,%.6g" % (
-            r.method,
-            "" if n_sub is None else n_sub,
-            "" if n_vr is None else n_vr,
-            r.hpe,
-            "" if r.eta is None else "%.17g" % r.eta,
-            r.active_count,
-            r.wall_clock))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

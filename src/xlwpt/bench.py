@@ -1,5 +1,7 @@
 """Experiment orchestration: method runs, sweeps, power maps, timing bench."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -8,9 +10,58 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines
-from .pa import export_pa_trace_csv
 from .power import power_map
-from .sa import export_report_json
+
+
+def _timing(seconds):
+    """A wall-clock cell: six significant digits, empty when missing."""
+    return None if seconds is None else "%.6g" % seconds
+
+
+def _write_csv(path, header, rows):
+    """Write one CSV artifact with the one cell rule.
+
+    A float is written as %.17g, so it reads back exactly; the csv module
+    writes None as an empty cell and anything else as str(). Timing cells
+    arrive formatted by ``_timing``.
+    """
+    # built in memory and written at once: row-by-row writes left the heap
+    # top free for glibc to trim, and the next raster's NumPy temporaries
+    # then faulted it back in (~39k minor faults per 81x81 power map)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(text.getvalue())
+
+
+def _write_json(path, payload):
+    """Write one JSON artifact: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _report_payload(report, alloc):
+    """A PA-SA solve report plus its final allocation, as plain JSON types."""
+    return {
+        "hpe_trace": [float(v) for v in report.hpe_trace],
+        "active_trace": [[int(v) for v in a] for a in report.active_trace],
+        "lambda_trace": [float(v) for v in report.lambda_trace],
+        "dr_residuals": [[float(v) for v in block] for block in report.dr_residuals],
+        "outer_iterations": report.outer_iterations,
+        "pa_iterations": report.pa_iterations,
+        "converged": report.converged,
+        "wall_clock_seconds": report.wall_clock,
+        "final_hpe": float(report.final_hpe),
+        "allocation": {
+            "omega_watts": [[float(v) for v in row] for row in alloc.omega],
+            "a": [int(v) for v in alloc.a],
+            "a_tilde": [float(v) for v in alloc.a_tilde],
+        },
+    }
 
 
 @dataclass(frozen=True)
@@ -65,23 +116,29 @@ def run_methods(cfg, outdir=None):
         n_vr = (cfg.clusters.n_vr if cfg.positions is None
                  else len({int(p[3]) for p in cfg.positions}))
         if "results" in cfg.artifacts:
-            baselines.results_to_csv(results, os.path.join(outdir, "results.csv"),
-                                     n_sub=cfg.n_sub, n_vr=n_vr)
+            _write_csv(os.path.join(outdir, "results.csv"),
+                       ["method", "n_subarrays", "n_vr", "hpe", "eta",
+                        "active_count", "seconds"],
+                       [[r.method, cfg.n_sub, n_vr, r.hpe, r.eta, r.active_count,
+                         _timing(r.wall_clock)] for r in results])
         for r in results:
             if "traces" in cfg.artifacts and "pa_trace" in r.extra:
-                export_pa_trace_csv(r.extra["pa_trace"],
-                                    os.path.join(outdir, "trace_%s.csv" % r.method))
+                _write_csv(os.path.join(outdir, "trace_%s.csv" % r.method),
+                           ["t", "lambda", "phi_watts", "harvested_watts",
+                            "consumed_watts", "dinkelbach_residual_watts",
+                            "dr_residual", "wall_ns"],
+                           [[s.t, s.lambda_t, s.phi, s.harvested, s.consumed,
+                             s.residual, s.dr_residual, s.wall_ns]
+                            for s in r.extra["pa_trace"].states])
             if r.method == "PA-SA" and "report" in r.extra:
                 if "traces" in cfg.artifacts:
                     emit_convergence(r.extra["report"],
                                      os.path.join(outdir, "convergence_PA-SA.csv"))
                 if "allocation" in cfg.artifacts:
-                    export_report_json(r.extra["report"], r.allocation,
-                                       os.path.join(outdir, "allocation_PA-SA.json"))
+                    _write_json(os.path.join(outdir, "allocation_PA-SA.json"),
+                                _report_payload(r.extra["report"], r.allocation))
         if faults:
-            with open(os.path.join(outdir, "faults.json"), "w") as fh:
-                json.dump(faults, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(outdir, "faults.json"), faults)
     return results, faults
 
 
@@ -119,41 +176,33 @@ def sweep(cfg, spec, outdir):
     rows = [row for v in spec.values for rep in range(spec.repetitions)
             for row in _sweep_cell(cfg, spec, v, rep)]
 
-    def fmt(v, spec_="%.17g"):
-        return "" if v is None else (spec_ % v if isinstance(v, float) else str(v))
-
-    lines = ["variable,value,repetition,method,hpe,eta,active_count,"
-             "active_ratio,seconds,fault"]
-    for row in rows:
-        lines.append(",".join([
-            row["variable"], str(row["value"]), str(row["repetition"]),
-            row["method"], fmt(row["hpe"]), fmt(row["eta"]),
-            fmt(row["active_count"]), fmt(row["active_ratio"]),
-            fmt(row["seconds"], "%.6g"), row.get("fault", "")]))
-    with open(os.path.join(outdir, "sweep_raw.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(outdir, "sweep_raw.csv"),
+               ["variable", "value", "repetition", "method", "hpe", "eta",
+                "active_count", "active_ratio", "seconds", "fault"],
+               [[row["variable"], row["value"], row["repetition"], row["method"],
+                 row["hpe"], row["eta"], row["active_count"], row["active_ratio"],
+                 _timing(row["seconds"]), row.get("fault")] for row in rows])
 
     _emit_aggregate(rows, spec, outdir, "eta", "eta_vs_%s.csv" % spec.variable)
     _emit_aggregate(rows, spec, outdir, "active_ratio",
                     "active_ratio_vs_%s.csv" % spec.variable)
     _emit_aggregate(rows, spec, outdir, "seconds",
-                    "time_vs_%s.csv" % spec.variable, "%.6g")
+                    "time_vs_%s.csv" % spec.variable, _timing)
     return rows
 
 
-def _emit_aggregate(rows, spec, outdir, column, filename, number_fmt="%.17g"):
+def _emit_aggregate(rows, spec, outdir, column, filename, cell=float):
     methods = sorted({row["method"] for row in rows})
-    lines = ["value,method,mean_%s" % column]
+    means = []
     for value in spec.values:
         for method in methods:
             vals = [row[column] for row in rows
                     if row["value"] == int(value) and row["method"] == method
                     and row.get(column) is not None]
             if vals:
-                lines.append("%d,%s,%s" % (int(value), method,
-                                           number_fmt % float(np.mean(vals))))
-    with open(os.path.join(outdir, filename), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+                means.append([int(value), method, cell(float(np.mean(vals)))])
+    _write_csv(os.path.join(outdir, filename),
+               ["value", "method", "mean_%s" % column], means)
 
 
 def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
@@ -174,28 +223,16 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
         extent = (-half, half, 0.05, max(2.0 * cfg.clusters.range_m, 1.0))
     u = np.linspace(extent[0], extent[1], resolution)
     v = np.linspace(extent[2], extent[3], resolution)
-    probes = []
-    for b in v:
-        for a in u:
-            if plane == "xz":
-                probes.append((a, fixed_coord, b))
-            elif plane == "yz":
-                probes.append((fixed_coord, a, b))
-            else:
-                probes.append((a, b, fixed_coord))
+    # rows run over v, and over u within each row
+    uu, vv = np.meshgrid(u, v)
+    fixed = np.full(uu.shape, float(fixed_coord))
+    probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
+                       "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
     values = power_map(geom, alloc, ch, probes,
                        amplitude_model=cfg.amplitude_model)
-    axis_names = {"xz": ("x_m", "z_m"), "yz": ("y_m", "z_m"), "xy": ("x_m", "y_m")}
-    na, nb = axis_names[plane]
-    lines = ["%s,%s,watts" % (na, nb)]
-    idx = 0
-    for b in v:
-        for a in u:
-            lines.append("%.17g,%.17g,%.17g" % (a, b, values[idx]))
-            idx += 1
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return np.asarray(values).reshape(len(v), len(u))
+    _write_csv(path, ["%s_m" % axis for axis in plane] + ["watts"],
+               zip(uu.ravel().tolist(), vv.ravel().tolist(), values.tolist()))
+    return values.reshape(uu.shape)
 
 
 def emit_convergence(report, path):
@@ -203,22 +240,24 @@ def emit_convergence(report, path):
     if not report.hpe_trace:
         raise ValueError("report holds no HPE trace")
     final = report.final_hpe if report.final_hpe > 0 else report.hpe_trace[-1]
-    lines = ["iteration,hpe,fraction_of_final"]
     trace = list(report.hpe_trace)
     if final > trace[-1]:
         trace.append(final)
-    for i, v in enumerate(trace, start=1):
-        lines.append("%d,%.17g,%.17g" % (i, v, v / final if final > 0 else 0.0))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, ["iteration", "hpe", "fraction_of_final"],
+               [[i, v, v / final if final > 0 else 0.0]
+                for i, v in enumerate(trace, start=1)])
 
 
 def bench_timing(cfg, s_values=(6, 7, 8, 9, 10), outdir=None):
     """Measured solver wall clock vs S for PA-SA and PA-ES plus fitted growth.
 
     The fitted exponent is the geometric per-sub-array growth factor from a
-    least-squares line through log(time) vs S.
+    least-squares line through log(time) vs S, so it needs at least two
+    distinct S values.
     """
+    if len({int(s) for s in s_values}) < 2:
+        raise ValueError("bench needs at least two distinct S values to fit "
+                         "a growth factor")
     records = {"PA-SA": [], "PA-ES": []}
     for s in s_values:
         cell = replace(cfg, n_sub=int(s), methods=("PA-SA", "PA-ES"))
@@ -238,14 +277,10 @@ def bench_timing(cfg, s_values=(6, 7, 8, 9, 10), outdir=None):
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
-        lines = ["method,n_subarrays,seconds"]
-        for method, pts in records.items():
-            for s, t in pts:
-                lines.append("%s,%d,%.6g" % (method, s, t))
-        with open(os.path.join(outdir, "bench_times.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(os.path.join(outdir, "bench_growth.json"), "w") as fh:
-            json.dump({"per_subarray_growth_factor": growth}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        _write_csv(os.path.join(outdir, "bench_times.csv"),
+                   ["method", "n_subarrays", "seconds"],
+                   [[method, s, _timing(t)] for method, pts in records.items()
+                    for s, t in pts])
+        _write_json(os.path.join(outdir, "bench_growth.json"),
+                    {"per_subarray_growth_factor": growth})
     return records, growth

@@ -62,6 +62,8 @@ def _cmd_sweep(args):
 
 def _cmd_powermap(args):
     cfg = _apply_overrides(args.config, args.set)
+    if args.res < 1:
+        raise ConfigError("--res must be >= 1, got %d" % args.res)
     ch = cfg.channel_set()
     result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
     path = args.out or "powermap.csv"

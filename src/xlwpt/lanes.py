@@ -19,10 +19,10 @@ from .pa import (
     PATrace,
     SolverFault,
     _consumption_parts,
-    _prox_neg_harvest_quad,
     build_quadratic,
     project_feasible,
     prox_consumption,
+    prox_neg_harvest,
     quadratic_sup,
 )
 from .power import _consumed, _harvested
@@ -152,7 +152,7 @@ def _dr_loop(ch, lanes, lam, gamma, start, pa_cfg, power_cfg):
     for u in range(pa_cfg.max_dr):
         x = prox_consumption(z, lam, gamma, power_cfg, lanes.a_tilde, ch.n_elements)
         _zero_dead(x, lanes.dead)
-        y = _prox_neg_harvest_quad(2.0 * x - z, gamma, lanes.quad)
+        y = prox_neg_harvest(2.0 * x - z, gamma, lanes.quad)
         _zero_dead(y, lanes.dead)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)

@@ -164,8 +164,13 @@ def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     return project_feasible(shifted, p_sub, p_total, a_tilde > 0)
 
 
-def _prox_neg_harvest_quad(v, gamma, quad):
-    """Harvest prox against precomputed per-user matrices (q-space solve)."""
+def prox_neg_harvest(v, gamma, quad):
+    """Prox of -gamma * I(., a~) at v via the q = sqrt(omega) substitution.
+
+    ``quad`` holds the per-user matrices of ``build_quadratic``. Solves
+    (Id - 2 gamma A) q = sqrt(v) per user and squares back; the caller
+    keeps 2 gamma lambda_max(A) < 1 so that the solve stays definite.
+    """
     q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
     lhs = (np.eye(q0.shape[-2])
            - np.asarray(2.0 * gamma)[..., None, None, None] * quad)
@@ -173,20 +178,6 @@ def _prox_neg_harvest_quad(v, gamma, quad):
     if not np.all(np.isfinite(q)):
         raise SolverFault("harvest prox produced non-finite iterates")
     return np.swapaxes(q, -1, -2)**2
-
-
-def prox_neg_harvest(v, gamma, ch, a_tilde):
-    """Prox of -gamma * I(., a~) at v via the q = sqrt(omega) substitution.
-
-    Solves (Id - 2 gamma A) q = sqrt(v) per user and squares back; gamma is
-    shrunk automatically if 2 gamma lambda_max(A) >= 1 would make the solve
-    indefinite.
-    """
-    quad = build_quadratic(ch, a_tilde)
-    lam_max = quadratic_sup(quad)
-    if lam_max > 0 and 2.0 * gamma * lam_max >= 1.0:
-        gamma = 0.4 / lam_max
-    return _prox_neg_harvest_quad(v, gamma, quad)
 
 
 def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
@@ -231,14 +222,3 @@ def pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
     omega, log = solve_lanes(ch, a_tilde[None], pa_cfg, power_cfg, start)
     return omega[0], log.trace(0)
 
-
-def export_pa_trace_csv(trace, path):
-    """Per-iteration CSV of one PA solve."""
-    lines = ["t,lambda,phi_watts,harvested_watts,consumed_watts,"
-             "dinkelbach_residual_watts,dr_residual,wall_ns"]
-    for s in trace.states:
-        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d" % (
-            s.t, s.lambda_t, s.phi, s.harvested, s.consumed,
-            s.residual, s.dr_residual, s.wall_ns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,6 +1,5 @@
 """Sub-array activation: surrogate pruning interleaved with PA solves."""
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -34,17 +33,6 @@ class SAConfig:
 
 
 @dataclass
-class SAState:
-    """Snapshot of one outer iteration."""
-
-    iteration: int
-    a: np.ndarray
-    a_tilde: np.ndarray
-    g_surrogate: np.ndarray
-    hpe_value: float
-
-
-@dataclass
 class SolveReport:
     """Traces and diagnostics of one joint solve."""
 
@@ -57,7 +45,6 @@ class SolveReport:
     converged: bool = False
     wall_clock: float = 0.0
     final_hpe: float = 0.0
-    states: list = field(default_factory=list)
 
 
 def surrogate(omega_tilde):
@@ -145,9 +132,6 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
         report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
         report.pa_iterations += pa_trace.n_iterations
         report.outer_iterations = i
-        report.states.append(SAState(iteration=i, a=a.copy(),
-                                     a_tilde=a_tilde.copy(),
-                                     g_surrogate=g.copy(), hpe_value=gamma_i))
         if gamma_prev is not None and abs(gamma_i - gamma_prev) < sa_cfg.delta * gamma_prev:
             report.converged = True
             gamma_prev = gamma_i
@@ -173,27 +157,4 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
     report.wall_clock = time.perf_counter() - tic
     alloc = AllocationState(omega=omega_final, a=a, a_tilde=a.astype(float))
     return alloc, report
-
-
-def export_report_json(report, alloc, path):
-    """Nested JSON dump of a solve report plus its final allocation."""
-    payload = {
-        "hpe_trace": [float(v) for v in report.hpe_trace],
-        "active_trace": [[int(v) for v in a] for a in report.active_trace],
-        "lambda_trace": [float(v) for v in report.lambda_trace],
-        "dr_residuals": [[float(v) for v in block] for block in report.dr_residuals],
-        "outer_iterations": report.outer_iterations,
-        "pa_iterations": report.pa_iterations,
-        "converged": report.converged,
-        "wall_clock_seconds": report.wall_clock,
-        "final_hpe": float(report.final_hpe),
-        "allocation": {
-            "omega_watts": [[float(v) for v in row] for row in alloc.omega],
-            "a": [int(v) for v in alloc.a],
-            "a_tilde": [float(v) for v in alloc.a_tilde],
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 

@@ -219,7 +219,7 @@ class TestCriterion6OracleEquivalence:
         for _ in range(100):
             v = np.array([[rng.uniform(0.0, 0.2)]])
             gamma = rng.uniform(0.05, 0.35) / A
-            out = prox_neg_harvest(v, gamma, ch, np.ones(1))
+            out = prox_neg_harvest(v, gamma, quad)
             q0 = np.sqrt(v[0, 0])
             lo, hi = 0.0, 3.0 * (q0 + 0.1) / (1.0 - 2.0 * gamma * A)
             for _ in range(9):

@@ -11,11 +11,12 @@ from xlwpt.baselines import (
     pa_es,
     pa_fa,
     pa_sa,
-    results_to_csv,
 )
+from xlwpt.bench import run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
 from xlwpt.pa import PAConfig, pa_solve
 from xlwpt.power import AllocationState, PowerConfig, hpe
+from xlwpt.scenario import ClusterSpec, ScenarioConfig
 
 
 def make_channels(n_sub=3, n_users=2, seed=0, nx=8, ny=2):
@@ -179,12 +180,11 @@ class TestNormalize:
 
 class TestResultsCSV:
     def test_header_and_rows(self, tmp_path):
-        ch = make_channels(seed=9)
-        cfg = PowerConfig()
-        results = normalize([ea_fa(ch, cfg), pa_fa(ch, PAConfig(), cfg)])
-        path = tmp_path / "results.csv"
-        results_to_csv(results, path, n_sub=3, n_vr=1)
-        lines = path.read_text().strip().splitlines()
+        cfg = ScenarioConfig(n_sub=3, nx=8, ny=2, seed=9, methods=("EA-FA", "PA-FA"),
+                             clusters=ClusterSpec(n_vr=1, count=2, range_m=0.5,
+                                                  radius_m=0.1))
+        results, _ = run_methods(cfg, outdir=str(tmp_path))
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert lines[0] == "method,n_subarrays,n_vr,hpe,eta,active_count,seconds"
         assert len(lines) == 3
         first = lines[1].split(",")

@@ -1,11 +1,13 @@
 """Orchestration and command-line harness tests."""
 
+import csv
 import json
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from xlwpt import baselines, bench, cli
 from xlwpt.bench import (
     SweepSpec,
     bench_timing,
@@ -46,6 +48,23 @@ def mask_timings(text):
         out.append(",".join("X" if i in drop else c
                             for i, c in enumerate(cells)))
     return "\n".join(out)
+
+
+class TestWriters:
+    def test_csv_cells_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        bench._write_csv(path, ["none", "float", "int", "timing", "text"],
+                         [[None, 0.1, 3, bench._timing(1.23456789), "a, b"],
+                          [None, 1.0, -2, bench._timing(None), "c"]])
+        assert path.read_bytes() == (b"none,float,int,timing,text\n"
+                                     b',0.10000000000000001,3,1.23457,"a, b"\n'
+                                     b",1,-2,,c\n")
+
+    def test_json_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.json"
+        bench._write_json(path, {"b": [1, 0.5], "a": "x"})
+        assert path.read_text() == ('{\n  "a": "x",\n  "b": [\n    1,\n'
+                                    '    0.5\n  ]\n}\n')
 
 
 class TestRunMethods:
@@ -141,6 +160,20 @@ class TestSweep:
             got[(value, method)] = float(mean)
         assert got[("3", "PA-SA")] == pytest.approx(wanted)
 
+    def test_fault_with_comma_stays_one_cell(self, tmp_path, monkeypatch):
+        msg = "shape (2, 3), not (3, 2)"
+
+        def failing(*args, **kwargs):
+            raise ValueError(msg)
+
+        monkeypatch.setattr(baselines, "pa_es", failing)
+        cfg = small_cfg(methods=("EA-FA", "PA-ES"))
+        sweep(cfg, SweepSpec(variable="S", values=(2,)), str(tmp_path))
+        with open(tmp_path / "sweep_raw.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 10 for row in rows)
+        assert rows[-1][3] == "PA-ES" and rows[-1][-1] == msg
+
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             SweepSpec(variable="Q", values=(1,))
@@ -231,6 +264,13 @@ class TestBenchTiming:
         data = json.loads((tmp_path / "bench_growth.json").read_text())
         assert set(data["per_subarray_growth_factor"]) == {"PA-SA", "PA-ES"}
 
+    def test_needs_two_distinct_s_values(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baselines, "pa_sa", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="two distinct"):
+            bench_timing(small_cfg(), s_values=(4, 4))
+        assert calls == []
+
 
 class TestCLI:
     def write_cfg(self, tmp_path):
@@ -296,6 +336,15 @@ class TestCLI:
         assert code == 0
         assert len(calls) == 1
 
+    def test_powermap_bad_res_rejected_before_solving(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "pa_sa", lambda *a, **k: calls.append(a))
+        code = main(["powermap", self.write_cfg(tmp_path), "--res", "0",
+                     "--out", str(tmp_path / "pm.csv")])
+        assert code == 2
+        assert calls == []
+        assert not (tmp_path / "pm.csv").exists()
+
     def test_bench(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "bench"
@@ -303,6 +352,14 @@ class TestCLI:
         assert code == 0
         assert "growth per added sub-array" in capsys.readouterr().out
         assert (out / "bench_growth.json").exists()
+
+    def test_bench_single_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = main(["bench", self.write_cfg(tmp_path), "--values", "4",
+                     "--out", str(out)])
+        assert code == 2
+        assert "two distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

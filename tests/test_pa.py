@@ -282,7 +282,7 @@ class TestProxNegHarvest:
         quad = build_quadratic(ch, a_tilde)
         gamma = 0.2 / quadratic_sup(quad)
         v = np.full((2, 2), 0.05)
-        out = prox_neg_harvest(v, gamma, ch, a_tilde)
+        out = prox_neg_harvest(v, gamma, quad)
         q = np.sqrt(out)
         q0 = np.sqrt(v)
         grad = q - q0 - 2.0 * gamma * np.einsum("mst,tm->sm", quad, q)
@@ -296,7 +296,7 @@ class TestProxNegHarvest:
         A = float(quad[0, 0, 0])
         gamma = 0.3 / A
         v = np.array([[0.09]])
-        out = prox_neg_harvest(v, gamma, ch, a_tilde)
+        out = prox_neg_harvest(v, gamma, quad)
         q0 = 0.3
 
         def obj(q):
@@ -312,11 +312,14 @@ class TestProxNegHarvest:
         assert np.sqrt(out[0, 0]) == pytest.approx(q_star, abs=1e-6)
 
     def test_expansive_step_autoshrinks(self):
-        # a step with 2 gamma lam_max >= 1 must not blow up or go negative
+        # the solver caps a step with 2 gamma lam_max >= 1 at 0.45 / lam_max,
+        # so the harvest prox neither blows up nor goes negative
         _, ch = make_channels(n_sub=2, n_users=1, seed=10)
         a_tilde = np.ones(2)
         lam_max = quadratic_sup(build_quadratic(ch, a_tilde))
-        out = prox_neg_harvest(np.full((2, 1), 0.1), 10.0 / lam_max, ch, a_tilde)
+        out, info = dr_solve(ch, a_tilde, 0.01, PAConfig(), PowerConfig(),
+                             omega0=np.full((2, 1), 0.1), gamma_init=10.0 / lam_max)
+        assert info["gamma"] <= 0.45 / lam_max
         assert np.all(np.isfinite(out))
         assert np.all(out >= 0)
 

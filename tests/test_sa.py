@@ -5,17 +5,18 @@ import json
 import numpy as np
 import pytest
 
+from xlwpt.bench import run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
 from xlwpt.pa import PAConfig
 from xlwpt.power import AllocationState, PowerConfig, hpe
 from xlwpt.sa import (
     SAConfig,
     activation_update,
-    export_report_json,
     joint_solve,
     parameterize,
     surrogate,
 )
+from xlwpt.scenario import ScenarioConfig
 
 
 def clustered_channels(n_sub=4, seed=0):
@@ -136,11 +137,10 @@ class TestJointSolve:
 
 class TestExports:
     def test_report_json_round_trip(self, tmp_path):
-        geom, ch = clustered_channels(seed=7)
-        alloc, report = joint_solve(ch, PAConfig(), SAConfig(), PowerConfig())
-        path = tmp_path / "report.json"
-        export_report_json(report, alloc, path)
-        data = json.loads(path.read_text())
+        cfg = ScenarioConfig(n_sub=4, nx=8, ny=4, seed=7, methods=("PA-SA",))
+        (result,), _ = run_methods(cfg, outdir=str(tmp_path))
+        alloc, report = result.allocation, result.extra["report"]
+        data = json.loads((tmp_path / "allocation_PA-SA.json").read_text())
         assert data["final_hpe"] == pytest.approx(report.final_hpe)
         assert data["allocation"]["a"] == [int(v) for v in alloc.a]
         assert len(data["hpe_trace"]) == report.outer_iterations
