@@ -8,7 +8,7 @@ import numpy as np
 
 from .lanes import solve_lanes
 from .pa import pa_solve
-from .power import AllocationState, hpe
+from .power import AllocationState, _consumed, _harvested, hpe
 from .sa import SAConfig, joint_solve
 
 ES_SUBARRAY_CAP = 12
@@ -81,18 +81,18 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
     tic = time.perf_counter()
     indices = np.arange(1, 2**n_sub)
     masks = ((indices[:, None] >> np.arange(n_sub)) & 1).astype(float)
-    best = None
-    for start in range(0, len(masks), _ES_CHUNK_LANES):
-        chunk = slice(start, start + _ES_CHUNK_LANES)
-        omegas, _ = solve_lanes(ch, masks[chunk], pa_cfg, power_cfg)
-        for index, mask, omega in zip(indices[chunk], masks[chunk], omegas):
-            alloc = AllocationState(omega=omega, a=mask.astype(int), a_tilde=mask)
-            value = hpe(ch, alloc, power_cfg)
-            key = (-value, int(mask.sum()), int(index))
-            if best is None or key < best[0]:
-                best = (key, value, alloc)
-    _, value, alloc = best
-    return MethodResult(method="PA-ES", hpe=value,
+    omegas = np.concatenate([
+        solve_lanes(ch, masks[start:start + _ES_CHUNK_LANES], pa_cfg, power_cfg)[0]
+        for start in range(0, len(masks), _ES_CHUNK_LANES)])
+    # the lane kernels of hpe(), so every subset's value has hpe()'s bits
+    consumed = _consumed(omegas, masks, power_cfg, ch.n_users, ch.n_elements)
+    if np.any(consumed <= 0):
+        raise ValueError("consumed power must be positive to form the HPE ratio")
+    values = _harvested(ch, omegas, masks) / consumed
+    win = np.lexsort((indices, masks.sum(axis=1), -values))[0]
+    alloc = AllocationState(omega=omegas[win], a=masks[win].astype(int),
+                            a_tilde=masks[win])
+    return MethodResult(method="PA-ES", hpe=float(values[win]),
                         active_count=int(alloc.a.sum()),
                         wall_clock=time.perf_counter() - tic, allocation=alloc,
                         extra={"subsets_evaluated": len(masks)})

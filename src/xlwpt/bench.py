@@ -83,6 +83,13 @@ class SweepSpec:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
+    def cell(self, cfg, value, rep):
+        """The config of one cell: ``cfg`` with this axis at ``value``."""
+        if self.variable == "S":
+            return replace(cfg, n_sub=int(value), seed=cfg.seed + rep)
+        return replace(cfg, clusters=replace(cfg.clusters, n_vr=int(value)),
+                       seed=cfg.seed + rep)
+
 
 def run_methods(cfg, outdir=None):
     """Run the requested methods on one shared channel set.
@@ -142,12 +149,7 @@ def run_methods(cfg, outdir=None):
     return results, faults
 
 
-def _sweep_cell(cfg, spec, value, rep):
-    if spec.variable == "S":
-        cell = replace(cfg, n_sub=int(value), seed=cfg.seed + rep)
-    else:
-        cell = replace(cfg, clusters=replace(cfg.clusters, n_vr=int(value)),
-                       seed=cfg.seed + rep)
+def _sweep_cell(cell, spec, value, rep):
     results, faults = run_methods(cell)
     rows = []
     for r in results:
@@ -171,10 +173,11 @@ def _sweep_cell(cfg, spec, value, rep):
 
 
 def sweep(cfg, spec, outdir):
-    """Run every value x repetition cell; emit long-form and per-axis CSVs."""
+    """Validate every value x repetition cell, then run them; emit the sweep CSVs."""
+    cells = [(v, rep, spec.cell(cfg, v, rep))
+             for v in spec.values for rep in range(spec.repetitions)]
     os.makedirs(outdir, exist_ok=True)
-    rows = [row for v in spec.values for rep in range(spec.repetitions)
-            for row in _sweep_cell(cfg, spec, v, rep)]
+    rows = [row for v, rep, cell in cells for row in _sweep_cell(cell, spec, v, rep)]
 
     _write_csv(os.path.join(outdir, "sweep_raw.csv"),
                ["variable", "value", "repetition", "method", "hpe", "eta",
@@ -253,20 +256,23 @@ def bench_timing(cfg, s_values=(6, 7, 8, 9, 10), outdir=None):
 
     The fitted exponent is the geometric per-sub-array growth factor from a
     least-squares line through log(time) vs S, so it needs at least two
-    distinct S values.
+    distinct S values. Every S is checked before any is timed.
     """
     if len({int(s) for s in s_values}) < 2:
         raise ValueError("bench needs at least two distinct S values to fit "
                          "a growth factor")
+    cells = [replace(cfg, n_sub=int(s), methods=("PA-SA", "PA-ES")) for s in s_values]
+    if max(cell.n_sub for cell in cells) > cfg.es_cap:
+        raise ValueError("bench times PA-ES, whose sub-array cap es_cap=%d is "
+                         "below the largest S" % cfg.es_cap)
     records = {"PA-SA": [], "PA-ES": []}
-    for s in s_values:
-        cell = replace(cfg, n_sub=int(s), methods=("PA-SA", "PA-ES"))
+    for cell in cells:
         ch = cell.channel_set()
         pa_cfg = cell.pa_config()
         r_sa = baselines.pa_sa(ch, pa_cfg, cell.power, cell.sa_config())
         r_es = baselines.pa_es(ch, pa_cfg, cell.power, subarray_cap=cell.es_cap)
-        records["PA-SA"].append((int(s), r_sa.wall_clock))
-        records["PA-ES"].append((int(s), r_es.wall_clock))
+        records["PA-SA"].append((cell.n_sub, r_sa.wall_clock))
+        records["PA-ES"].append((cell.n_sub, r_es.wall_clock))
 
     growth = {}
     for method, pts in records.items():

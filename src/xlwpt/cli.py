@@ -6,6 +6,7 @@ with repeated --set section.key=value flags.
 
 import argparse
 import json
+import os
 import sys
 
 from .baselines import pa_sa
@@ -36,9 +37,19 @@ def _apply_overrides(path, overrides):
     return scenario_from_dict(raw)
 
 
+def _out_path(path, is_dir):
+    """``path`` if an output directory or file can go there, else ConfigError."""
+    probe = os.path.abspath(path)
+    while is_dir and not os.path.exists(probe):
+        probe = os.path.dirname(probe)  # the directory makedirs builds on
+    if os.path.isdir(probe) != is_dir or not os.path.isdir(os.path.dirname(probe)):
+        raise ConfigError("cannot write output to %s" % path)
+    return path
+
+
 def _cmd_solve(args):
     cfg = _apply_overrides(args.config, args.set)
-    outdir = args.out or cfg.output_dir
+    outdir = _out_path(args.out or cfg.output_dir, True)
     results, faults = run_methods(cfg, outdir=outdir)
     for r in results:
         eta = "" if r.eta is None else " eta=%.4g" % r.eta
@@ -54,7 +65,7 @@ def _cmd_sweep(args):
     spec = SweepSpec(variable=args.var,
                      values=tuple(int(v) for v in args.values.split(",")),
                      repetitions=args.reps)
-    rows = sweep(cfg, spec, args.out or cfg.output_dir)
+    rows = sweep(cfg, spec, _out_path(args.out or cfg.output_dir, True))
     faults = [r for r in rows if r.get("fault")]
     print("sweep complete: %d rows, %d faults" % (len(rows), len(faults)))
     return 1 if faults else 0
@@ -64,9 +75,9 @@ def _cmd_powermap(args):
     cfg = _apply_overrides(args.config, args.set)
     if args.res < 1:
         raise ConfigError("--res must be >= 1, got %d" % args.res)
+    path = _out_path(args.out or "powermap.csv", False)
     ch = cfg.channel_set()
     result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
-    path = args.out or "powermap.csv"
     emit_powermap(cfg, result.allocation, plane=args.plane,
                   resolution=args.res, path=path, ch=ch)
     print("power map (%s plane, %dx%d) written to %s"
@@ -78,7 +89,7 @@ def _cmd_bench(args):
     cfg = _apply_overrides(args.config, args.set)
     values = tuple(int(v) for v in args.values.split(","))
     _, growth = bench_timing(cfg, s_values=values,
-                             outdir=args.out or cfg.output_dir)
+                             outdir=_out_path(args.out or cfg.output_dir, True))
     for method, factor in sorted(growth.items()):
         print("%-6s wall-clock growth per added sub-array: x%.3g"
               % (method, factor))

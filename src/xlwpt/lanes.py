@@ -1,11 +1,16 @@
 """Lane-stacked core of the PA solver.
 
 A lane stack holds B power-allocation problems on one channel set along a
-leading axis, each with its own activation vector, ratio, step sizes and
-stopping rules. A lane leaves the working arrays when it stops. Every lane
+leading axis, the only batch axis: the polish's two seeds per problem are
+lanes too. Each lane has its own activation vector, ratio, step sizes and
+stopping rules, and leaves the working arrays when it stops. Every lane
 repeats the arithmetic of a one-lane solve exactly, so a lane of a stack
 gives the same bits as a one-lane call: ``pa.pa_solve`` and ``pa.dr_solve``
 are one-lane calls, and PA-ES solves its subsets as stacks.
+
+A user no active sub-array reaches is given no power: the start
+projections zero its entries, and the operators keep them zero (its harvest
+matrix is 0, its consumption-prox input <= 0 and its polish gradient 0).
 """
 
 import time
@@ -37,8 +42,7 @@ class Lanes:
     """Fixed data of B PA problems on one channel set, one row per lane."""
 
     a_tilde: np.ndarray      # (B, S) parameterized activations
-    active: np.ndarray       # (B, S) a~ > 0
-    dead: np.ndarray         # (B, M) users no active sub-array reaches
+    allowed: np.ndarray      # (B, S, M) active row, user some active row reaches
     quad: np.ndarray         # (B, M, S, S) harvest matrices
     lam_max: np.ndarray      # (B,) largest eigenvalue of each lane's matrices
     slope: np.ndarray        # (B, S, 1) transmit slope of P_c
@@ -51,9 +55,9 @@ class Lanes:
         quad = np.copy(build_quadratic(ch, a_tilde), order="K")
         slope, fixed = _consumption_parts(a_tilde, power_cfg, ch.n_users,
                                           ch.n_elements)
-        reach = (a_tilde[:, :, None] * ch.norms).max(axis=1)
-        return cls(a_tilde, a_tilde > 0, reach == 0.0, quad, quadratic_sup(quad),
-                   slope, fixed)
+        reached = (a_tilde[:, :, None] * ch.norms).max(axis=1) > 0.0
+        allowed = (a_tilde > 0)[:, :, None] & reached[:, None, :]
+        return cls(a_tilde, allowed, quad, quadratic_sup(quad), slope, fixed)
 
     def take(self, idx):
         """The lanes at ``idx``.
@@ -66,72 +70,54 @@ class Lanes:
         # gathering into a preallocated buffer measured less peak memory
         # than fancy indexing; mode="raise" would buffer a further copy
         np.take(self.quad, idx, axis=0, out=quad, mode="clip")
-        return Lanes(self.a_tilde[idx], self.active[idx], self.dead[idx], quad,
-                     self.lam_max[idx], self.slope[idx], self.fixed[idx])
-
-
-def _zero_dead(omega, dead):
-    """Zero the columns of users that no active sub-array reaches."""
-    np.copyto(omega, 0.0, where=dead[..., None, :])
+        return Lanes(self.a_tilde[idx], self.allowed[idx], quad, self.lam_max[idx],
+                     self.slope[idx], self.fixed[idx])
 
 
 def _polish(lanes, lam, seeds, p_sub, p_total):
-    """Monotone projected-gradient ascent on phi in q-space.
+    """Monotone projected-gradient ascent on phi in q-space, one seed per lane.
 
-    ``seeds`` is a (k, B, S, M) stack of k feasible starts per lane; each
-    start ascends on its own and never ends below its starting phi. A
-    lane leaves the working arrays once all its starts have stopped.
-    Returns the k ascended points per lane and their phi.
+    ``seeds`` holds one feasible start per lane; each ascends on its own,
+    never ends below its starting phi, and leaves the working arrays once
+    it stops. Returns the ascended points and their phi.
     """
 
     def phi_of(q):
-        harvest = np.einsum("pbsm,bmst,pbtm->pb", q, lanes.quad, q)
-        transmit = (lanes.slope * q**2).reshape(q.shape[:2] + (-1,)).sum(axis=-1)
+        harvest = np.einsum("bsm,bmst,btm->b", q, lanes.quad, q)
+        transmit = (lanes.slope * q**2).reshape(len(q), -1).sum(axis=-1)
         return harvest - lam * (transmit + lanes.fixed)
 
     q = np.sqrt(seeds)
-    _zero_dead(q, lanes.dead)
     best = phi_of(q)
     lip = np.where(lanes.lam_max + lam > 0,
                    2.0 * lanes.lam_max + 2.0 * lam * lanes.slope.max(axis=(1, 2)),
                    1.0)
-    step = np.broadcast_to(1.0 / np.where(lip > 0, lip, 1.0), best.shape).copy()
+    step = 1.0 / np.where(lip > 0, lip, 1.0)
     floor = step * 1e-12
     q_out, best_out = np.empty_like(q), np.empty_like(best)
-    live = np.ones(best.shape, dtype=bool)
-    run = np.arange(best.shape[1])
+    run = np.arange(len(q))
     for _ in range(_PGA_MAX_ITER):
-        grad = (2.0 * np.einsum("bmst,pbtm->pbsm", lanes.quad, q)
+        grad = (2.0 * np.einsum("bmst,btm->bsm", lanes.quad, q)
                 - (2.0 * lam)[:, None, None] * lanes.slope * q)
-        trial_q = np.maximum(q + step[..., None, None] * grad, 0.0)
-        trial = project_feasible(trial_q**2, p_sub, p_total,
-                                 np.broadcast_to(lanes.active, q.shape[:3]))
-        _zero_dead(trial, lanes.dead)
-        trial_q = np.sqrt(trial)
+        trial_q = np.maximum(q + step[:, None, None] * grad, 0.0)
+        trial_q = np.sqrt(project_feasible(trial_q**2, p_sub, p_total, lanes.allowed))
         val = phi_of(trial_q)
-        up = live & (val > best)
+        up = val > best
         gain = val - best
-        q = np.where(up[..., None, None], trial_q, q)
+        q = np.where(up[:, None, None], trial_q, q)
         best = np.where(up, val, best)
         step = np.where(up, step * 1.3, step * 0.5)
-        stop = live & np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12),
-                               step < floor)
+        stop = np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12), step < floor)
         if stop.any():
-            p_idx, b_idx = np.nonzero(stop)
-            q_out[p_idx, run[b_idx]] = q[p_idx, b_idx]
-            best_out[p_idx, run[b_idx]] = best[p_idx, b_idx]
-            live &= ~stop
-            if not live.any():
+            fin = run[stop]
+            q_out[fin], best_out[fin] = q[stop], best[stop]
+            keep = np.flatnonzero(~stop)
+            run, q, best, step, floor, lam = (
+                a[keep] for a in (run, q, best, step, floor, lam))
+            if not len(run):
                 break
-            keep = np.flatnonzero(live.any(axis=0))
-            if len(keep) < len(run):
-                run, lam = run[keep], lam[keep]
-                q, best, step, floor, live = (
-                    a[:, keep] for a in (q, best, step, floor, live))
-                lanes = lanes.take(keep)
-    p_idx, b_idx = np.nonzero(live)
-    q_out[p_idx, run[b_idx]] = q[p_idx, b_idx]
-    best_out[p_idx, run[b_idx]] = best[p_idx, b_idx]
+            lanes = lanes.take(keep)
+    q_out[run], best_out[run] = q, best
     return q_out**2, best_out
 
 
@@ -151,9 +137,7 @@ def _dr_loop(ch, lanes, lam, gamma, start, pa_cfg, power_cfg):
     window_best = np.full(n, np.inf)
     for u in range(pa_cfg.max_dr):
         x = prox_consumption(z, lam, gamma, power_cfg, lanes.a_tilde, ch.n_elements)
-        _zero_dead(x, lanes.dead)
         y = prox_neg_harvest(2.0 * x - z, gamma, lanes.quad)
-        _zero_dead(y, lanes.dead)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)
         residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
@@ -189,33 +173,35 @@ def dr_step(ch, lanes, lam, gamma, omega0, pa_cfg, power_cfg):
     """One parametric subproblem solve per lane: DR splitting plus polish.
 
     ``lam`` and ``gamma`` hold one value per lane and ``omega0`` one
-    start per lane. Returns the feasible allocations and per-lane
-    diagnostics; each lane's phi is never below its value at the
-    projected start, so the ratio updates stay monotone.
+    start per lane. The polish runs each lane's DR candidate and projected
+    start as two lanes and keeps the better. Returns the feasible
+    allocations and per-lane diagnostics; each lane's phi is never below
+    its value at the projected start, so the ratio updates stay monotone.
     """
     p_sub = power_cfg.p_sub(ch.n_elements)
     p_total = power_cfg.p_total(ch.n_sub, ch.n_elements)
-    start = project_feasible(omega0, p_sub, p_total, lanes.active)
-    _zero_dead(start, lanes.dead)
+    start = project_feasible(omega0, p_sub, p_total, lanes.allowed)
     scaled = lanes.lam_max > 0
     cap = 0.45 / np.where(scaled, lanes.lam_max, 1.0)
     gamma = np.where(scaled, np.minimum(gamma, cap), gamma)
     x, residual, iters, gamma = _dr_loop(ch, lanes, lam, gamma, start, pa_cfg,
                                          power_cfg)
 
-    candidate = project_feasible(x, p_sub, p_total, lanes.active)
-    _zero_dead(candidate, lanes.dead)
+    candidate = project_feasible(x, p_sub, p_total, lanes.allowed)
     # ascend from both the DR candidate and the start: q = 0 entries are
     # stationary under the sqrt substitution, so a single seed can get stuck
-    omega, phi = _polish(lanes, lam, np.stack([candidate, start]), p_sub, p_total)
-    second = phi[1] > phi[0]
+    n = len(lam)
+    pair = np.tile(np.arange(n), 2)
+    omega, phi = _polish(lanes.take(pair), lam[pair],
+                         np.concatenate([candidate, start]), p_sub, p_total)
+    second = phi[n:] > phi[:n]
     info = {
         "dr_residual": residual,
         "dr_iterations": iters,
         "gamma": gamma,
-        "phi": np.where(second, phi[1], phi[0]),
+        "phi": np.where(second, phi[n:], phi[:n]),
     }
-    return np.where(second[:, None, None], omega[1], omega[0]), info
+    return np.where(second[:, None, None], omega[n:], omega[:n]), info
 
 
 def initial_gamma(lam_max, pa_cfg):
@@ -241,12 +227,11 @@ class LaneLog:
             i = np.searchsorted(run, lane)
             if i == len(run) or run[i] != lane:
                 break
-            lam, omega, phi, harvested, consumed, residual, dr_residual, dr_iters = (
+            lam, phi, harvested, consumed, residual, dr_residual, dr_iters = (
                 r[i] for r in records)
             trace.states.append(DinkelbachState(
                 t=t,
                 lambda_t=float(lam),
-                omega=omega.copy(),
                 phi=float(phi),
                 harvested=float(harvested),
                 consumed=float(consumed),
@@ -274,8 +259,7 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
 
     if omega0 is None:
         omega0 = np.full((n, ch.n_sub, ch.n_users), p_sub / ch.n_users)
-    omega = project_feasible(omega0, p_sub, p_total, lanes.active)
-    _zero_dead(omega, lanes.dead)
+    omega = project_feasible(omega0, p_sub, p_total, lanes.allowed)
 
     def evaluate(sub, om):
         return (_harvested(ch, om, sub.a_tilde),
@@ -305,7 +289,7 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
         lam = np.where(lam_new > lam, lam_new, lam)
         # one wall time per iteration of the whole stack
         log.rows.append((t, run, time.perf_counter_ns() - tic, (
-            lam, omega, harvested - lam * consumed, harvested, consumed, residual,
+            lam, harvested - lam * consumed, harvested, consumed, residual,
             info["dr_residual"], info["dr_iterations"])))
         done = residual <= pa_cfg.epsilon
         if done.any():

@@ -56,7 +56,6 @@ class DinkelbachState:
 
     t: int
     lambda_t: float
-    omega: np.ndarray
     phi: float
     harvested: float
     consumed: float
@@ -198,12 +197,7 @@ def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
              else np.array([gamma_init], dtype=float))
     omega, info = lanes.dr_step(ch, stack, np.array([lam], dtype=float), gamma,
                                 np.asarray(omega0, dtype=float)[None], pa_cfg, power_cfg)
-    return omega[0], {
-        "dr_residual": float(info["dr_residual"][0]),
-        "dr_iterations": int(info["dr_iterations"][0]),
-        "gamma": float(info["gamma"][0]),
-        "phi": float(info["phi"][0]),
-    }
+    return omega[0], {key: value[0].item() for key, value in info.items()}
 
 
 def pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=None):

@@ -257,8 +257,11 @@ def _build(cls, assigned, **nested):
 
 def read_scenario_json(path):
     """The parsed JSON of a scenario file; an empty file reads as {}."""
-    with open(path) as fh:
-        text = fh.read().strip()
+    try:
+        with open(path) as fh:
+            text = fh.read().strip()
+    except OSError as exc:
+        raise ConfigError("cannot read scenario file: %s" % exc) from exc
     return json.loads(text) if text else {}
 
 

@@ -271,6 +271,14 @@ class TestBenchTiming:
             bench_timing(small_cfg(), s_values=(4, 4))
         assert calls == []
 
+    def test_s_above_es_cap_rejected_before_timing(self, monkeypatch):
+        calls = []
+        for name in ("pa_sa", "pa_es"):
+            monkeypatch.setattr(baselines, name, lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="es_cap=12"):
+            bench_timing(small_cfg(), s_values=(4, 13))
+        assert calls == []
+
 
 class TestCLI:
     def write_cfg(self, tmp_path):
@@ -344,6 +352,52 @@ class TestCLI:
         assert code == 2
         assert calls == []
         assert not (tmp_path / "pm.csv").exists()
+
+    def test_powermap_bad_out_rejected_before_solving(self, tmp_path, monkeypatch,
+                                                      capsys):
+        calls = []
+        monkeypatch.setattr(cli, "pa_sa", lambda *a, **k: calls.append(a))
+        for out in (tmp_path / "nodir" / "pm.csv", tmp_path):
+            code = main(["powermap", self.write_cfg(tmp_path), "--res", "3",
+                         "--out", str(out)])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["sweep", "--values", "2,3"], ["bench", "--values", "2,3"]])
+    def test_out_naming_a_file_rejected_before_solving(self, tmp_path, monkeypatch,
+                                                       capsys, command):
+        calls = []
+        for module, name in ((cli, "run_methods"), (bench, "run_methods"),
+                             (baselines, "pa_sa"), (baselines, "pa_es")):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        for path in (out, out / "sub"):
+            code = main([command[0], self.write_cfg(tmp_path), *command[1:],
+                         "--out", str(path)])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
+        assert calls == []
+        assert out.read_text() == "keep"
+
+    def test_sweep_bad_value_rejected_before_solving(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "run_methods", lambda *a, **k: calls.append(a))
+        out = tmp_path / "sw"
+        code = main(["sweep", self.write_cfg(tmp_path), "--values", "2,0",
+                     "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
+
+    def test_unreadable_scenario_exit_code(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.json", tmp_path):
+            assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read scenario file")
+            assert err.count("\n") == 1
 
     def test_bench(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from xlwpt import lanes
-from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
+from xlwpt.geometry import ArrayGeometry, ChannelSet, UserPosition, build_channel_set
 from xlwpt.pa import (
     PAConfig,
     SolverFault,
@@ -23,6 +23,7 @@ from xlwpt.pa import (
     quadratic_sup,
 )
 from xlwpt.power import AllocationState, PowerConfig, consumed_power, harvested_power, hpe
+from xlwpt.scenario import ScenarioConfig
 
 
 def make_channels(n_sub=2, n_users=2, seed=0, nx=4, ny=2):
@@ -144,6 +145,48 @@ class TestLaneStack:
             want, want_info = dr_solve(ch, mask, 0.01, pa_cfg, power_cfg)
             assert omega[i].tobytes() == want.tobytes()
             assert {k: v[i] for k, v in info.items()} == want_info
+
+
+class TestDeadUsers:
+    """A user that no active sub-array reaches is given no power."""
+
+    USER = 1
+    # both leave sub-array 0, the only one that reaches USER, switched off
+    MASKS = np.array([[0, 1, 1, 1], [0, 0, 1, 1]], dtype=float)
+
+    def channels(self):
+        ch = ScenarioConfig(n_sub=4).channel_set()
+        g = ch.g.copy()
+        g[1:, self.USER, :] = 0.0
+        norms = np.linalg.norm(g, axis=2)
+        kappa = np.zeros_like(norms)
+        kappa[norms > 0] = 1.0 / norms[norms > 0]
+        return ChannelSet(g=g, norms=norms, kappa=kappa,
+                          gram=np.einsum("ski,smi->skm", g, np.conj(g)))
+
+    def warm_start(self, ch, power_cfg):
+        omega0 = np.full((ch.n_sub, ch.n_users), 0.1 * power_cfg.p_sub(ch.n_elements))
+        omega0[:, self.USER] = 0.7 * power_cfg.p_sub(ch.n_elements)
+        return omega0
+
+    def test_unreached_column_is_zero(self):
+        ch, pa_cfg, power_cfg = self.channels(), PAConfig(), PowerConfig()
+        warm = self.warm_start(ch, power_cfg)
+        for mask in self.MASKS:
+            for omega0 in (None, warm):
+                omega, _ = pa_solve(ch, mask, pa_cfg, power_cfg, omega0)
+                assert np.all(omega[:, self.USER] == 0.0)
+
+    def test_stack_matches_one_lane_calls(self):
+        ch, pa_cfg, power_cfg = self.channels(), PAConfig(), PowerConfig()
+        warm = self.warm_start(ch, power_cfg)
+        for omega0 in (None, np.stack([warm] * len(self.MASKS))):
+            omega, log = lanes.solve_lanes(ch, self.MASKS, pa_cfg, power_cfg, omega0)
+            for i, mask in enumerate(self.MASKS):
+                want, trace = pa_solve(ch, mask, pa_cfg, power_cfg,
+                                       None if omega0 is None else warm)
+                assert omega[i].tobytes() == want.tobytes()
+                assert log.trace(i).lambda_trace == trace.lambda_trace
 
 
 class TestSolverChecks:
