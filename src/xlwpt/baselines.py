@@ -13,9 +13,9 @@ from .sa import SAConfig, joint_solve
 
 ES_SUBARRAY_CAP = 12
 GRID_ORACLE_MAX_VARS = 4
-# PA-ES subsets solved per lane stack: larger stacks spend less Python time
-# per subset but hold more working memory (32 chosen by measurement at S=8)
-_ES_CHUNK_LANES = 32
+# harvest-matrix entries (lanes x M x S^2) per PA-ES lane stack: larger
+# stacks spend less Python time per subset but hold more working memory
+_ES_STACK_ENTRIES = 49152
 
 
 @dataclass
@@ -69,8 +69,12 @@ def pa_sa(ch, pa_cfg, power_cfg, sa_cfg=None):
 def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
     """Optimized PA over every non-empty sub-array subset (exhaustive search).
 
-    Subsets are solved as lane stacks of at most ``_ES_CHUNK_LANES``. Ties
-    break toward fewer active sub-arrays, then the lowest subset index.
+    Subsets are solved as lane stacks of equal size, give or take one
+    lane, each holding at most ``_ES_STACK_ENTRIES`` harvest-matrix
+    entries (M S^2 per subset), so working memory stays bounded up to the
+    cap. Each lane gives the bits of a one-lane solve, so the split does
+    not change the answer. Ties break toward fewer active sub-arrays,
+    then the lowest subset index.
     """
     n_sub = ch.n_sub
     if n_sub > subarray_cap:
@@ -81,9 +85,10 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
     tic = time.perf_counter()
     indices = np.arange(1, 2**n_sub)
     masks = ((indices[:, None] >> np.arange(n_sub)) & 1).astype(float)
-    omegas = np.concatenate([
-        solve_lanes(ch, masks[start:start + _ES_CHUNK_LANES], pa_cfg, power_cfg)[0]
-        for start in range(0, len(masks), _ES_CHUNK_LANES)])
+    per_stack = max(1, _ES_STACK_ENTRIES // (ch.n_users * n_sub**2))
+    n_stacks = -(-len(masks) // per_stack)
+    omegas = np.concatenate([solve_lanes(ch, stack, pa_cfg, power_cfg)[0]
+                             for stack in np.array_split(masks, n_stacks)])
     # the lane kernels of hpe(), so every subset's value has hpe()'s bits
     consumed = _consumed(omegas, masks, power_cfg, ch.n_users, ch.n_elements)
     if np.any(consumed <= 0):

@@ -49,7 +49,7 @@ def _report_payload(report, alloc):
     return {
         "hpe_trace": [float(v) for v in report.hpe_trace],
         "active_trace": [[int(v) for v in a] for a in report.active_trace],
-        "lambda_trace": [float(v) for v in report.lambda_trace],
+        "lambda_trace": [[float(v) for v in block] for block in report.lambda_trace],
         "dr_residuals": [[float(v) for v in block] for block in report.dr_residuals],
         "outer_iterations": report.outer_iterations,
         "pa_iterations": report.pa_iterations,
@@ -113,7 +113,7 @@ def run_methods(cfg, outdir=None):
                 results.append(baselines.pa_es(ch, pa_cfg, cfg.power,
                                                subarray_cap=cfg.es_cap))
         except Exception as exc:  # noqa: BLE001 - per-method fault isolation
-            faults[method] = str(exc)
+            faults[method] = "%s: %s" % (type(exc).__name__, exc)
     if any(r.method == "EA-FA" for r in results):
         baselines.normalize(results)
 

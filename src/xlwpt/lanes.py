@@ -50,9 +50,12 @@ class Lanes:
 
     @classmethod
     def build(cls, ch, a_tilde, power_cfg):
-        # a compact copy in the same memory order frees the complex buffer
-        # that the real view of the einsum output would keep alive
-        quad = np.copy(build_quadratic(ch, a_tilde), order="K")
+        # a (B, M, S, S) view of a C-contiguous (B, S, S, M) array: the
+        # einsum output's memory order, in which the harvest einsums sum,
+        # and one whose lanes ``take`` gathers in one copy; the copy also
+        # frees the complex buffer that the real view would keep alive
+        quad = np.moveaxis(np.ascontiguousarray(
+            np.moveaxis(build_quadratic(ch, a_tilde), 1, -1)), -1, 1)
         slope, fixed = _consumption_parts(a_tilde, power_cfg, ch.n_users,
                                           ch.n_elements)
         reached = (a_tilde[:, :, None] * ch.norms).max(axis=1) > 0.0
@@ -63,45 +66,46 @@ class Lanes:
         """The lanes at ``idx``.
 
         The harvest matrices keep their memory order: the einsum of the
-        harvest value sums in stride order, so a C-ordered copy would
-        change its last bits.
+        harvest value sums in stride order, so another order would change
+        its last bits. They are gathered along the leading axis of the
+        contiguous array, in one copy: a gather into the strided
+        (B, M, S, S) view would also copy the source and buffer the output.
         """
-        quad = np.empty_like(self.quad, shape=(len(idx),) + self.quad.shape[1:])
-        # gathering into a preallocated buffer measured less peak memory
-        # than fancy indexing; mode="raise" would buffer a further copy
-        np.take(self.quad, idx, axis=0, out=quad, mode="clip")
+        quad = np.moveaxis(np.moveaxis(self.quad, 1, -1)[idx], -1, 1)
         return Lanes(self.a_tilde[idx], self.allowed[idx], quad, self.lam_max[idx],
                      self.slope[idx], self.fixed[idx])
 
 
-def _polish(lanes, lam, seeds, p_sub, p_total):
+def _polish(lanes, lane_of, lam, seeds, p_sub, p_total):
     """Monotone projected-gradient ascent on phi in q-space, one seed per lane.
 
-    ``seeds`` holds one feasible start per lane; each ascends on its own,
-    never ends below its starting phi, and leaves the working arrays once
-    it stops. Returns the ascended points and their phi.
+    ``seeds`` holds one feasible start per polish lane, and polish lane i
+    is lane ``lane_of[i]`` of ``lanes``; each ascends on its own, never
+    ends below its starting phi, and leaves the working arrays once it
+    stops. Returns the ascended points and their phi.
     """
 
-    def phi_of(q):
-        harvest = np.einsum("bsm,bmst,btm->b", q, lanes.quad, q)
-        transmit = (lanes.slope * q**2).reshape(len(q), -1).sum(axis=-1)
-        return harvest - lam * (transmit + lanes.fixed)
+    def phi_of(work, q):
+        harvest = np.einsum("bsm,bmst,btm->b", q, work.quad, q)
+        transmit = (work.slope * q**2).reshape(len(q), -1).sum(axis=-1)
+        return harvest - lam * (transmit + work.fixed)
 
+    work = lanes.take(lane_of)
     q = np.sqrt(seeds)
-    best = phi_of(q)
-    lip = np.where(lanes.lam_max + lam > 0,
-                   2.0 * lanes.lam_max + 2.0 * lam * lanes.slope.max(axis=(1, 2)),
+    best = phi_of(work, q)
+    lip = np.where(work.lam_max + lam > 0,
+                   2.0 * work.lam_max + 2.0 * lam * work.slope.max(axis=(1, 2)),
                    1.0)
     step = 1.0 / np.where(lip > 0, lip, 1.0)
     floor = step * 1e-12
     q_out, best_out = np.empty_like(q), np.empty_like(best)
     run = np.arange(len(q))
     for _ in range(_PGA_MAX_ITER):
-        grad = (2.0 * np.einsum("bmst,btm->bsm", lanes.quad, q)
-                - (2.0 * lam)[:, None, None] * lanes.slope * q)
+        grad = (2.0 * np.einsum("bmst,btm->bsm", work.quad, q)
+                - (2.0 * lam)[:, None, None] * work.slope * q)
         trial_q = np.maximum(q + step[:, None, None] * grad, 0.0)
-        trial_q = np.sqrt(project_feasible(trial_q**2, p_sub, p_total, lanes.allowed))
-        val = phi_of(trial_q)
+        trial_q = np.sqrt(project_feasible(trial_q**2, p_sub, p_total, work.allowed))
+        val = phi_of(work, trial_q)
         up = val > best
         gain = val - best
         q = np.where(up[:, None, None], trial_q, q)
@@ -116,7 +120,10 @@ def _polish(lanes, lam, seeds, p_sub, p_total):
                 a[keep] for a in (run, q, best, step, floor, lam))
             if not len(run):
                 break
-            lanes = lanes.take(keep)
+            # freed before the gather from ``lanes``, so that no two
+            # working copies of the harvest matrices are alive at once
+            del work
+            work = lanes.take(lane_of[run])
     q_out[run], best_out[run] = q, best
     return q_out**2, best_out
 
@@ -192,7 +199,7 @@ def dr_step(ch, lanes, lam, gamma, omega0, pa_cfg, power_cfg):
     # stationary under the sqrt substitution, so a single seed can get stuck
     n = len(lam)
     pair = np.tile(np.arange(n), 2)
-    omega, phi = _polish(lanes.take(pair), lam[pair],
+    omega, phi = _polish(lanes, pair, lam[pair],
                          np.concatenate([candidate, start]), p_sub, p_total)
     second = phi[n:] > phi[:n]
     info = {

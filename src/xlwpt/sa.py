@@ -38,8 +38,8 @@ class SolveReport:
 
     hpe_trace: list = field(default_factory=list)
     active_trace: list = field(default_factory=list)
-    lambda_trace: list = field(default_factory=list)
-    dr_residuals: list = field(default_factory=list)
+    lambda_trace: list = field(default_factory=list)   # one list per PA solve
+    dr_residuals: list = field(default_factory=list)   # one list per PA solve
     outer_iterations: int = 0
     pa_iterations: int = 0
     converged: bool = False
@@ -128,7 +128,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
         omega = omega_new
         report.hpe_trace.append(gamma_i)
         report.active_trace.append(a.copy())
-        report.lambda_trace = pa_trace.lambda_trace
+        report.lambda_trace.append(pa_trace.lambda_trace)
         report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
         report.pa_iterations += pa_trace.n_iterations
         report.outer_iterations = i
@@ -149,7 +149,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
         omega_final = omega
         final = report.hpe_trace[-1]
     else:
-        report.lambda_trace = pa_trace.lambda_trace
+        report.lambda_trace.append(pa_trace.lambda_trace)
         report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
         report.pa_iterations += pa_trace.n_iterations
 

@@ -137,9 +137,9 @@ class TestCriterion5SolverInvariants:
                     worst_dr = max(worst_dr,
                                    max(s.dr_residual for s in trace.states))
                     report = res["PA-SA"].extra["report"]
-                    lams = report.lambda_trace
-                    if any(b < a for a, b in zip(lams, lams[1:])):
-                        monotone = False
+                    for lams in report.lambda_trace:
+                        if any(b < a for a, b in zip(lams, lams[1:])):
+                            monotone = False
                     flat = [r for block in report.dr_residuals for r in block]
                     worst_dr = max(worst_dr, max(flat))
         ok = worst_res <= 1e-7 and monotone and worst_dr <= 1e-6

@@ -1,5 +1,7 @@
 """Reference-method tests: dominance ordering, exhaustive search, grid oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestPAES:
     def test_lane_stacks_match_per_subset_solves(self, monkeypatch, n_sub, seed):
         """Every lane of every stack equals a one-lane solve bit for bit.
 
-        Stacks of 4 lanes put chunk seams inside the subset range.
+        Stacks of 4 lanes put stack seams inside the subset range.
         """
         ch = make_channels(n_sub=n_sub, seed=seed)
         pa_cfg, cfg = PAConfig(), PowerConfig()
@@ -99,7 +101,7 @@ class TestPAES:
             lanes.extend(zip(masks.copy(), omegas.copy()))
             return omegas, log
 
-        monkeypatch.setattr(baselines, "_ES_CHUNK_LANES", 4)
+        monkeypatch.setattr(baselines, "_ES_STACK_ENTRIES", 4 * ch.n_users * n_sub**2)
         monkeypatch.setattr(baselines, "solve_lanes", recording)
         res = pa_es(ch, pa_cfg, cfg)
 
@@ -115,6 +117,58 @@ class TestPAES:
                 best = (key, value, mask.astype(int).tolist())
         assert res.hpe == best[1]
         assert res.allocation.a.tolist() == best[2]
+
+    def test_stacks_fit_the_budget_at_the_cap(self, monkeypatch):
+        n_sub = baselines.ES_SUBARRAY_CAP
+        ch = make_channels(n_sub=n_sub, seed=1)
+        sizes = []
+
+        def recording(ch_, masks, pa_cfg, power_cfg):
+            sizes.append(len(masks))
+            return np.zeros(masks.shape + (ch_.n_users,)), None
+
+        monkeypatch.setattr(baselines, "solve_lanes", recording)
+        res = pa_es(ch, PAConfig(), PowerConfig())
+
+        assert sum(sizes) == res.extra["subsets_evaluated"] == 2**n_sub - 1
+        per_stack = baselines._ES_STACK_ENTRIES // (ch.n_users * n_sub**2)
+        assert max(sizes) <= per_stack
+        assert max(sizes) - min(sizes) <= 1
+        # as few stacks as the budget allows
+        assert len(sizes) == -(-(2**n_sub - 1) // per_stack)
+
+    def test_stack_split_leaves_every_subset_unchanged(self, monkeypatch):
+        n_sub = 7
+        ch = make_channels(n_sub=n_sub, seed=2)
+        solve_lanes = baselines.solve_lanes
+        runs = []
+
+        def recording(ch_, masks, *args):
+            omegas, log = solve_lanes(ch_, masks, *args)
+            runs[-1].append(omegas)
+            return omegas, log
+
+        monkeypatch.setattr(baselines, "solve_lanes", recording)
+        # one stack of all 127 subsets, then stacks of at most 5
+        for budget in (ch.n_users * n_sub**2 * 2**n_sub, 5 * ch.n_users * n_sub**2):
+            monkeypatch.setattr(baselines, "_ES_STACK_ENTRIES", budget)
+            runs.append([])
+            pa_es(ch, PAConfig(), PowerConfig())
+        one, many = runs
+        assert len(one) == 1 and len(many) == 26
+        assert np.concatenate(one).tobytes() == np.concatenate(many).tobytes()
+
+    def test_traced_peak_is_bounded_by_the_budget(self):
+        # the working memory of a stack is a few copies of its harvest
+        # matrices (8-byte entries), whatever the subset count
+        ch = make_channels(n_sub=10, n_users=1, seed=0)
+        tracemalloc.start()
+        try:
+            pa_es(ch, PAConfig(), PowerConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * baselines._ES_STACK_ENTRIES
 
     def test_allocation_matches_reported_active_count(self):
         ch = make_channels(n_sub=3, seed=6)

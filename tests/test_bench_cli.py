@@ -172,7 +172,7 @@ class TestSweep:
         with open(tmp_path / "sweep_raw.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(len(row) == 10 for row in rows)
-        assert rows[-1][3] == "PA-ES" and rows[-1][-1] == msg
+        assert rows[-1][3] == "PA-ES" and rows[-1][-1] == "ValueError: " + msg
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,15 @@ class TestJointSolve:
         assert flat
         assert all(r <= 1e-6 for r in flat)
 
+    def test_every_pa_solve_keeps_its_lambda_trace(self):
+        geom, ch = clustered_channels(seed=6)
+        _, report = joint_solve(ch, PAConfig(), SAConfig(), PowerConfig())
+        # one block per accepted PA solve, as for the DR residuals
+        assert len(report.lambda_trace) == len(report.dr_residuals) > 1
+        for lams, residuals in zip(report.lambda_trace, report.dr_residuals):
+            assert len(lams) == len(residuals) > 0
+            assert all(b >= a for a, b in zip(lams, lams[1:]))
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             SAConfig(delta=0.0)
@@ -144,3 +153,4 @@ class TestExports:
         assert data["final_hpe"] == pytest.approx(report.final_hpe)
         assert data["allocation"]["a"] == [int(v) for v in alloc.a]
         assert len(data["hpe_trace"]) == report.outer_iterations
+        assert data["lambda_trace"] == report.lambda_trace
