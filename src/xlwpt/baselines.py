@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lanes import solve_lanes
-from .pa import pa_solve
-from .power import AllocationState, _consumed, _harvested, hpe
-from .sa import SAConfig, joint_solve
+from .pa import PATrace, pa_solve
+from .power import AllocationState, _consumed, _harvested, hpe, uniform_split
+from .sa import SAConfig, joint_solve, outer_problem
 
 ES_SUBARRAY_CAP = 12
 GRID_ORACLE_MAX_VARS = 4
@@ -31,39 +31,79 @@ class MethodResult:
     extra: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class SolvedLane:
+    """One PA solve made as a lane of a shared stack."""
+
+    omega: np.ndarray
+    trace: PATrace
+    seconds: float           # wall time of the whole stack
+
+
 def ea_fa(ch, power_cfg):
     """Equal power allocation on the full array; no optimization."""
     tic = time.perf_counter()
-    p_sub = power_cfg.p_sub(ch.n_elements)
     a = np.ones(ch.n_sub, dtype=int)
-    alloc = AllocationState(
-        omega=np.full((ch.n_sub, ch.n_users), p_sub / ch.n_users),
-        a=a, a_tilde=a.astype(float))
+    alloc = AllocationState(omega=uniform_split(ch, power_cfg), a=a,
+                            a_tilde=a.astype(float))
     value = hpe(ch, alloc, power_cfg)
     return MethodResult(method="EA-FA", hpe=value, active_count=ch.n_sub,
                         wall_clock=time.perf_counter() - tic, allocation=alloc)
 
 
-def pa_fa(ch, pa_cfg, power_cfg):
-    """Optimized power allocation with every sub-array active."""
+def pa_fa(ch, pa_cfg, power_cfg, first=None):
+    """Optimized power allocation with every sub-array active.
+
+    ``first`` is the solve when a shared stack has already made it (see
+    ``opening_lanes``); its stack's wall time counts in ``wall_clock``.
+    """
     tic = time.perf_counter()
     ones = np.ones(ch.n_sub)
-    omega, trace = pa_solve(ch, ones, pa_cfg, power_cfg)
+    if first is None:
+        omega, trace = pa_solve(ch, ones, pa_cfg, power_cfg)
+    else:
+        omega, trace = first.omega, first.trace
     alloc = AllocationState(omega=omega, a=ones.astype(int), a_tilde=ones)
     value = hpe(ch, alloc, power_cfg)
+    seconds = time.perf_counter() - tic + (0.0 if first is None else first.seconds)
     return MethodResult(method="PA-FA", hpe=value, active_count=ch.n_sub,
-                        wall_clock=time.perf_counter() - tic, allocation=alloc,
+                        wall_clock=seconds, allocation=alloc,
                         extra={"pa_trace": trace})
 
 
-def pa_sa(ch, pa_cfg, power_cfg, sa_cfg=None):
-    """The proposed joint activation and power-allocation method."""
+def pa_sa(ch, pa_cfg, power_cfg, sa_cfg=None, first=None):
+    """The proposed joint activation and power-allocation method.
+
+    ``first`` is the first outer iterate's PA solve when a shared stack
+    has already made it (see ``opening_lanes``).
+    """
     sa_cfg = sa_cfg or SAConfig()
-    alloc, report = joint_solve(ch, pa_cfg, sa_cfg, power_cfg)
+    alloc, report = joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first)
     return MethodResult(method="PA-SA", hpe=report.final_hpe,
                         active_count=int(alloc.a.sum()),
                         wall_clock=report.wall_clock, allocation=alloc,
                         extra={"report": report})
+
+
+def opening_lanes(ch, pa_cfg, power_cfg, sa_cfg):
+    """PA-FA's solve and PA-SA's first outer solve, as one two-lane stack.
+
+    Neither depends on another method: PA-FA solves the full array from
+    the uniform split, and PA-SA's first iterate is ``outer_problem`` on
+    the uniform split. Each lane gives the bits of the method's own
+    one-lane solve. Returns ``{"PA-FA": SolvedLane, "PA-SA": SolvedLane}``.
+    """
+    tic = time.perf_counter()
+    uniform = uniform_split(ch, power_cfg)
+    _, a_tilde, start = outer_problem(
+        uniform, np.ones(ch.n_sub, dtype=int), sa_cfg.warm_start,
+        power_cfg.p_sub(ch.n_elements), power_cfg.p_total(ch.n_sub, ch.n_elements))
+    omegas, log = solve_lanes(ch, np.stack([np.ones(ch.n_sub), a_tilde]), pa_cfg,
+                              power_cfg,
+                              np.stack([uniform, uniform if start is None else start]))
+    seconds = time.perf_counter() - tic
+    return {method: SolvedLane(omegas[i], log.trace(i), seconds)
+            for i, method in enumerate(("PA-FA", "PA-SA"))}
 
 
 def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):

@@ -94,21 +94,34 @@ class SweepSpec:
 def run_methods(cfg, outdir=None):
     """Run the requested methods on one shared channel set.
 
-    Per-method faults are recorded and the run continues. Returns the
-    normalized results plus per-method reports/traces.
+    When both PA-FA and PA-SA run, PA-FA's solve and PA-SA's first outer
+    solve are made as one lane stack (``baselines.opening_lanes``), whose
+    wall time counts in both methods' ``wall_clock``. Per-method faults
+    are recorded and the run continues. Returns the normalized results
+    plus per-method reports/traces.
     """
     ch = cfg.channel_set()
     pa_cfg = cfg.pa_config()
     sa_cfg = cfg.sa_config()
     results, faults = [], {}
+    opening = {}
+    if "PA-FA" in cfg.methods and "PA-SA" in cfg.methods:
+        try:
+            opening = baselines.opening_lanes(ch, pa_cfg, cfg.power, sa_cfg)
+        except Exception:  # noqa: BLE001 - each method then solves alone
+            # a fault in one lane aborts the stack; the solo runs below
+            # give each method its own result or fault
+            pass
     for method in cfg.methods:
         try:
             if method == "EA-FA":
                 results.append(baselines.ea_fa(ch, cfg.power))
             elif method == "PA-FA":
-                results.append(baselines.pa_fa(ch, pa_cfg, cfg.power))
+                results.append(baselines.pa_fa(ch, pa_cfg, cfg.power,
+                                               opening.get("PA-FA")))
             elif method == "PA-SA":
-                results.append(baselines.pa_sa(ch, pa_cfg, cfg.power, sa_cfg))
+                results.append(baselines.pa_sa(ch, pa_cfg, cfg.power, sa_cfg,
+                                               opening.get("PA-SA")))
             elif method == "PA-ES":
                 results.append(baselines.pa_es(ch, pa_cfg, cfg.power,
                                                subarray_cap=cfg.es_cap))

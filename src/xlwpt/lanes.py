@@ -6,7 +6,8 @@ lanes too. Each lane has its own activation vector, ratio, step sizes and
 stopping rules, and leaves the working arrays when it stops. Every lane
 repeats the arithmetic of a one-lane solve exactly, so a lane of a stack
 gives the same bits as a one-lane call: ``pa.pa_solve`` and ``pa.dr_solve``
-are one-lane calls, and PA-ES solves its subsets as stacks.
+are one-lane calls, PA-ES solves its subsets as stacks, and
+``baselines.opening_lanes`` stacks PA-FA with PA-SA's first PA solve.
 
 A user no active sub-array reaches is given no power: the start
 projections zero its entries, and the operators keep them zero (its harvest
@@ -24,16 +25,17 @@ from .pa import (
     PATrace,
     SolverFault,
     _consumption_parts,
+    _consumption_prox,
+    _harvest_matrix,
+    _harvest_prox,
     build_quadratic,
     project_feasible,
-    prox_consumption,
-    prox_neg_harvest,
     quadratic_sup,
 )
-from .power import _consumed, _harvested
+from .power import _consumed, _harvested, uniform_split
 
-_STALL_WINDOW = 10           # DR iterations between step-size stall checks
-_STALL_SHRINK = 0.25         # step-size shrink factor when DR residual stalls
+_SHRINK_EVERY = 10           # DR iterations between prox-step shrinks
+_SHRINK = 0.25               # prox-step shrink factor
 _PGA_MAX_ITER = 500          # iteration cap of the monotone ascent safeguard
 
 
@@ -128,12 +130,15 @@ def _polish(lanes, lane_of, lam, seeds, p_sub, p_total):
     return q_out**2, best_out
 
 
-def _dr_loop(ch, lanes, lam, gamma, start, pa_cfg, power_cfg):
+def _dr_loop(lanes, lam, gamma, start, pa_cfg, p_sub, p_total):
     """Douglas-Rachford splitting per lane from feasible starts.
 
     A lane leaves the working arrays once its residual meets the
-    tolerance. Returns each lane's last prox-consumption point, residual,
-    iteration count and prox step.
+    tolerance. Every ``_SHRINK_EVERY`` iterations each running lane's prox
+    step shrinks by ``_SHRINK`` and its drift restarts from the last
+    feasible point, so the harvest prox's system is rebuilt only then.
+    Returns each lane's last prox-consumption point, residual, iteration
+    count and prox step.
     """
     n = len(lam)
     x_out = np.empty_like(start)
@@ -141,10 +146,11 @@ def _dr_loop(ch, lanes, lam, gamma, start, pa_cfg, power_cfg):
     iters_out = np.empty(n, dtype=int)
     run = np.arange(n)
     z = start.copy()
-    window_best = np.full(n, np.inf)
+    slope, active = lanes.slope, lanes.a_tilde > 0
+    step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
-        x = prox_consumption(z, lam, gamma, power_cfg, lanes.a_tilde, ch.n_elements)
-        y = prox_neg_harvest(2.0 * x - z, gamma, lanes.quad)
+        x = _consumption_prox(z, step, slope, p_sub, p_total, active)
+        y = _harvest_prox(2.0 * x - z, lhs)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)
         residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
@@ -157,20 +163,16 @@ def _dr_loop(ch, lanes, lam, gamma, start, pa_cfg, power_cfg):
             x_out[fin], residual_out[fin] = x[done], residual[done]
             iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
             keep = np.flatnonzero(~done)
-            run, x, y, z, residual, window_best, lam, gamma = (
-                a[keep] for a in (run, x, y, z, residual, window_best, lam, gamma))
+            run, x, y, z, residual, lam, gamma, step, slope, active, lhs = (
+                a[keep] for a in (run, x, y, z, residual, lam, gamma, step,
+                                  slope, active, lhs))
             if not len(run):
                 break
-            lanes = lanes.take(keep)
         z = z + (y - x)
-        window_best = np.minimum(window_best, residual)
-        if (u + 1) % _STALL_WINDOW == 0:
-            # a stalled residual shrinks the prox step and restarts the
-            # drift from the last feasible point
-            stall = residual > 0.5 * window_best
-            gamma = np.where(stall, gamma * _STALL_SHRINK, gamma)
-            z = np.where(stall[:, None, None], x, z)
-            window_best = residual
+        if (u + 1) % _SHRINK_EVERY == 0:
+            gamma = gamma * _SHRINK
+            z = x
+            step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad[run])
     x_out[run], residual_out[run] = x, residual
     iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
     return x_out, residual_out, iters_out, gamma_out
@@ -191,8 +193,8 @@ def dr_step(ch, lanes, lam, gamma, omega0, pa_cfg, power_cfg):
     scaled = lanes.lam_max > 0
     cap = 0.45 / np.where(scaled, lanes.lam_max, 1.0)
     gamma = np.where(scaled, np.minimum(gamma, cap), gamma)
-    x, residual, iters, gamma = _dr_loop(ch, lanes, lam, gamma, start, pa_cfg,
-                                         power_cfg)
+    x, residual, iters, gamma = _dr_loop(lanes, lam, gamma, start, pa_cfg, p_sub,
+                                         p_total)
 
     candidate = project_feasible(x, p_sub, p_total, lanes.allowed)
     # ascend from both the DR candidate and the start: q = 0 entries are
@@ -265,7 +267,7 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
     p_total = power_cfg.p_total(ch.n_sub, ch.n_elements)
 
     if omega0 is None:
-        omega0 = np.full((n, ch.n_sub, ch.n_users), p_sub / ch.n_users)
+        omega0 = np.broadcast_to(uniform_split(ch, power_cfg), lanes.allowed.shape)
     omega = project_feasible(omega0, p_sub, p_total, lanes.allowed)
 
     def evaluate(sub, om):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .power import AllocationState, consumed_power, harvested_power
+from .power import AllocationState, consumed_power, harvested_power, uniform_split
 
 LAMBDA_SLACK = 1e-9          # relative tolerance on the Dinkelbach monotonicity check
 
@@ -147,6 +147,15 @@ def project_feasible(omega_raw, p_sub, p_total, active):
     return omega
 
 
+def _consumption_prox(z, step, slope, p_sub, p_total, active):
+    """``prox_consumption`` from its parts: ``step`` = gamma * lambda per lane,
+    P_c's per-entry ``slope`` and the ``active`` row mask, which the DR loop
+    builds once for its whole run.
+    """
+    shifted = z - np.asarray(step)[..., None, None] * slope
+    return project_feasible(shifted, p_sub, p_total, active)
+
+
 def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     """Prox of gamma * lambda * P_c plus the feasible-set indicator.
 
@@ -155,12 +164,28 @@ def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     and ``gamma`` are scalars or one value per lane.
     """
     a_tilde = np.asarray(a_tilde, dtype=float)
+    z = np.asarray(z, dtype=float)
     slope, _ = _consumption_parts(a_tilde, power_cfg, z.shape[-1], n_elements)
-    step = np.asarray(gamma * lam)[..., None, None]
-    shifted = np.asarray(z, dtype=float) - step * slope
-    p_sub = power_cfg.p_sub(n_elements)
-    p_total = power_cfg.p_total(z.shape[-2], n_elements)
-    return project_feasible(shifted, p_sub, p_total, a_tilde > 0)
+    return _consumption_prox(z, gamma * lam, slope, power_cfg.p_sub(n_elements),
+                             power_cfg.p_total(z.shape[-2], n_elements), a_tilde > 0)
+
+
+def _harvest_matrix(gamma, quad):
+    """I - 2 gamma A per lane and user: the harvest prox's linear system."""
+    return (np.eye(quad.shape[-1])
+            - np.asarray(2.0 * gamma)[..., None, None, None] * quad)
+
+
+def _harvest_prox(v, lhs):
+    """The harvest prox at v given its system ``lhs`` from ``_harvest_matrix``.
+
+    Solves lhs q = sqrt(v) per user and squares back.
+    """
+    q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
+    q = np.linalg.solve(lhs, np.swapaxes(q0, -1, -2)[..., None])[..., 0]
+    if not np.all(np.isfinite(q)):
+        raise SolverFault("harvest prox produced non-finite iterates")
+    return np.swapaxes(q, -1, -2)**2
 
 
 def prox_neg_harvest(v, gamma, quad):
@@ -170,13 +195,7 @@ def prox_neg_harvest(v, gamma, quad):
     (Id - 2 gamma A) q = sqrt(v) per user and squares back; the caller
     keeps 2 gamma lambda_max(A) < 1 so that the solve stays definite.
     """
-    q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
-    lhs = (np.eye(q0.shape[-2])
-           - np.asarray(2.0 * gamma)[..., None, None, None] * quad)
-    q = np.linalg.solve(lhs, np.swapaxes(q0, -1, -2)[..., None])[..., 0]
-    if not np.all(np.isfinite(q)):
-        raise SolverFault("harvest prox produced non-finite iterates")
-    return np.swapaxes(q, -1, -2)**2
+    return _harvest_prox(v, _harvest_matrix(gamma, quad))
 
 
 def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
@@ -191,8 +210,7 @@ def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
     a_tilde = np.asarray(a_tilde, dtype=float)
     stack = lanes.Lanes.build(ch, a_tilde[None], power_cfg)
     if omega0 is None:
-        omega0 = np.full((ch.n_sub, ch.n_users),
-                         power_cfg.p_sub(ch.n_elements) / ch.n_users)
+        omega0 = uniform_split(ch, power_cfg)
     gamma = (lanes.initial_gamma(stack.lam_max, pa_cfg) if gamma_init is None
              else np.array([gamma_init], dtype=float))
     omega, info = lanes.dr_step(ch, stack, np.array([lam], dtype=float), gamma,

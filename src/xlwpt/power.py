@@ -83,6 +83,11 @@ class AllocationState:
         return self.a_tilde if use_parameterized else self.a.astype(float)
 
 
+def uniform_split(ch, power_cfg):
+    """Every sub-array's budget P_s shared equally by the users, (S, M)."""
+    return np.full((ch.n_sub, ch.n_users), power_cfg.p_sub(ch.n_elements) / ch.n_users)
+
+
 def _coherent_user_sums(ch, omega, weights):
     """Complex coherent sums T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*.
 

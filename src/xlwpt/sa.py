@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pa import pa_solve, project_feasible
-from .power import AllocationState, hpe
+from .power import AllocationState, hpe, uniform_split
 
 HPE_MONOTONE_SLACK = 1e-9
 
@@ -77,7 +77,25 @@ def parameterize(a, g):
     return np.asarray(g, dtype=float) * np.asarray(a, dtype=float)
 
 
-def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
+def outer_problem(omega, a, warm_start, p_sub, p_total):
+    """The PA problem of the next outer iterate, from the current one.
+
+    Prunes by the surrogate of ``omega`` (pruned modules never come back)
+    and parameterizes the survivors. Returns the new binary activation,
+    a~ and the PA start: ``omega`` projected onto a~'s active rows, or
+    None (``pa_solve``'s uniform split) when warm starts are off.
+    """
+    n_sub = len(a)
+    g = surrogate(omega) if omega.sum() > 0 else np.full(n_sub, 1.0 / n_sub)
+    a_new = activation_update(g) * a
+    if a_new.sum() == 0:
+        a_new = a.copy()
+    a_tilde = parameterize(a_new, g)
+    start = project_feasible(omega, p_sub, p_total, a_tilde > 0) if warm_start else None
+    return a_new, a_tilde, start
+
+
+def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
     """Joint activation and power-allocation optimization.
 
     Starts from the uniform split on the full array and alternates
@@ -88,14 +106,19 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
     An outer iterate is only accepted if the binary-activation HPE does
     not decrease, so the trace is monotone; a declining candidate ends
     the loop with the previous iterate.
+
+    ``first`` is the first outer iterate's PA solve, a
+    ``baselines.SolvedLane``, when a shared stack has already made it
+    (``outer_problem`` on the uniform split gives its inputs); its
+    stack's wall time counts in ``wall_clock``.
     """
     tic = time.perf_counter()
-    n_sub, n_users = ch.n_sub, ch.n_users
+    n_sub = ch.n_sub
     p_sub = power_cfg.p_sub(ch.n_elements)
     p_total = power_cfg.p_total(n_sub, ch.n_elements)
 
     a = np.ones(n_sub, dtype=int)
-    omega = np.full((n_sub, n_users), p_sub / n_users)
+    omega = uniform_split(ch, power_cfg)
     report = SolveReport()
 
     def binary_hpe(om, act):
@@ -104,18 +127,13 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
 
     gamma_prev = None
     for i in range(1, sa_cfg.max_iters + 1):
-        total = omega.sum()
-        g = surrogate(omega) if total > 0 else np.full(n_sub, 1.0 / n_sub)
-        a_new = activation_update(g) * a  # pruned modules never come back
-        if a_new.sum() == 0:
-            a_new = a.copy()
-        a_tilde = parameterize(a_new, g)
-
-        start = None
-        if sa_cfg.warm_start:
-            start = project_feasible(omega, p_sub, p_total, a_tilde > 0)
-        omega_new, pa_trace = pa_solve(ch, a_tilde, pa_cfg, power_cfg,
-                                       omega0=start)
+        a_new, a_tilde, start = outer_problem(omega, a, sa_cfg.warm_start, p_sub,
+                                              p_total)
+        if i == 1 and first is not None:
+            omega_new, pa_trace = first.omega, first.trace
+        else:
+            omega_new, pa_trace = pa_solve(ch, a_tilde, pa_cfg, power_cfg,
+                                           omega0=start)
         gamma_i = binary_hpe(omega_new, a_new)
 
         if gamma_prev is not None and gamma_i < gamma_prev - HPE_MONOTONE_SLACK:
@@ -155,6 +173,8 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg):
 
     report.final_hpe = final
     report.wall_clock = time.perf_counter() - tic
+    if first is not None:
+        report.wall_clock += first.seconds
     alloc = AllocationState(omega=omega_final, a=a, a_tilde=a.astype(float))
     return alloc, report
 

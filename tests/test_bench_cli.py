@@ -17,8 +17,10 @@ from xlwpt.bench import (
     sweep,
 )
 from xlwpt.cli import main
+from xlwpt.geometry import ChannelSet
+from xlwpt.pa import SolverFault
 from xlwpt.power import received_power_per_user
-from xlwpt.sa import SolveReport
+from xlwpt.sa import SAConfig, SolveReport
 from xlwpt.scenario import ScenarioConfig, ClusterSpec, scenario_from_dict
 
 
@@ -123,6 +125,144 @@ class TestRunMethods:
         r1, _ = run_methods(small_cfg(methods=("EA-FA",), seed=0))
         r2, _ = run_methods(small_cfg(methods=("EA-FA",), seed=1))
         assert r1[0].hpe != r2[0].hpe
+
+
+def pa_trace_record(trace):
+    """Every field of a PATrace but the wall times, floats as exact reprs."""
+    return (trace.converged, [repr((s.t, s.lambda_t, s.phi, s.harvested, s.consumed,
+                                    s.residual, s.dr_residual, s.dr_iterations))
+                              for s in trace.states])
+
+
+def report_record(report):
+    """Every field of a SolveReport but its wall clock, floats as exact reprs."""
+    fields = dict(vars(report))
+    fields.pop("wall_clock")
+    fields["active_trace"] = [a.tolist() for a in fields["active_trace"]]
+    return repr(sorted(fields.items()))
+
+
+def opening_cfg(n_sub=3, n_vr=1, count=3, warm_start=True,
+                methods=("EA-FA", "PA-FA", "PA-SA")):
+    return small_cfg(n_sub=n_sub, methods=methods, sa=SAConfig(warm_start=warm_start),
+                     clusters=ClusterSpec(n_vr=n_vr, count=count, range_m=0.5,
+                                          radius_m=0.1))
+
+
+def blocked_channels(cfg):
+    """``cfg``'s channels with user 1 reached by sub-array 0 only."""
+    ch = ScenarioConfig.channel_set(cfg)
+    g = ch.g.copy()
+    g[1:, 1, :] = 0.0
+    norms = np.linalg.norm(g, axis=2)
+    kappa = np.zeros_like(norms)
+    kappa[norms > 0] = 1.0 / norms[norms > 0]
+    return ChannelSet(g=g, norms=norms, kappa=kappa,
+                      gram=np.einsum("ski,smi->skm", g, np.conj(g)))
+
+
+class TestOpeningStack:
+    """run_methods solves PA-FA and PA-SA's first iterate as one lane stack."""
+
+    def run_and_compare(self, cfg, monkeypatch, ch=None):
+        if ch is not None:
+            monkeypatch.setattr(ScenarioConfig, "channel_set", lambda self: ch)
+        ch = cfg.channel_set()
+        stacks = []
+        solve_lanes = baselines.solve_lanes
+
+        def recording(ch_, a_tilde, *args):
+            stacks.append(len(a_tilde))
+            return solve_lanes(ch_, a_tilde, *args)
+
+        monkeypatch.setattr(baselines, "solve_lanes", recording)
+        results, faults = run_methods(cfg)
+        assert not faults
+        both = "PA-FA" in cfg.methods and "PA-SA" in cfg.methods
+        assert stacks == ([2] if both else [])
+        got = {r.method: r for r in results}
+        pa_cfg, sa_cfg = cfg.pa_config(), cfg.sa_config()
+        if "PA-FA" in cfg.methods:
+            want = baselines.pa_fa(ch, pa_cfg, cfg.power)
+            assert got["PA-FA"].allocation.omega.tobytes() == want.allocation.omega.tobytes()
+            assert repr(got["PA-FA"].hpe) == repr(want.hpe)
+            assert (pa_trace_record(got["PA-FA"].extra["pa_trace"])
+                    == pa_trace_record(want.extra["pa_trace"]))
+        if "PA-SA" in cfg.methods:
+            want = baselines.pa_sa(ch, pa_cfg, cfg.power, sa_cfg)
+            assert got["PA-SA"].allocation.omega.tobytes() == want.allocation.omega.tobytes()
+            assert repr(got["PA-SA"].hpe) == repr(want.hpe)
+            assert (report_record(got["PA-SA"].extra["report"])
+                    == report_record(want.extra["report"]))
+        return got
+
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("n_vr", [1, 2])
+    @pytest.mark.parametrize("n_sub", [1, 3, 10])
+    def test_lanes_match_solo_solves(self, monkeypatch, n_sub, n_vr, warm_start):
+        self.run_and_compare(opening_cfg(n_sub, n_vr, warm_start=warm_start),
+                             monkeypatch)
+
+    @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+    def test_one_user(self, monkeypatch, warm_start):
+        self.run_and_compare(opening_cfg(4, count=1, warm_start=warm_start),
+                             monkeypatch)
+
+    def test_blocked_user(self, monkeypatch):
+        cfg = opening_cfg(4, count=2)
+        ch = blocked_channels(cfg)
+        got = self.run_and_compare(cfg, monkeypatch, ch)
+        assert np.all(got["PA-FA"].allocation.omega[1:, 1] == 0.0)
+
+    @pytest.mark.parametrize("method", ["PA-FA", "PA-SA"])
+    def test_one_method_solves_alone(self, monkeypatch, method):
+        self.run_and_compare(opening_cfg(4, methods=("EA-FA", method)), monkeypatch)
+
+    def test_stack_time_counts_for_both_methods(self, monkeypatch):
+        opening_lanes = baselines.opening_lanes
+
+        def slow(*args):
+            lanes = opening_lanes(*args)
+            return {m: replace(lane, seconds=lane.seconds + 100.0)
+                    for m, lane in lanes.items()}
+
+        monkeypatch.setattr(baselines, "opening_lanes", slow)
+        results, _ = run_methods(opening_cfg())
+        seconds = {r.method: r.wall_clock for r in results}
+        assert seconds["PA-FA"] > 100.0 and seconds["PA-SA"] > 100.0
+        assert seconds["EA-FA"] < 100.0
+
+    @pytest.mark.parametrize("fa_faults", [False, True], ids=["both-solve", "fa-faults"])
+    def test_stack_fault_falls_back_to_solo_solves(self, monkeypatch, fa_faults):
+        cfg = opening_cfg()
+        ch = cfg.channel_set()
+        want = {"PA-FA": baselines.pa_fa(ch, cfg.pa_config(), cfg.power),
+                "PA-SA": baselines.pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())}
+        solve_lanes = baselines.solve_lanes
+
+        def stack_fails(ch_, a_tilde, *args):
+            if len(a_tilde) == 2:
+                raise SolverFault("shared stack fault")
+            return solve_lanes(ch_, a_tilde, *args)
+
+        def fa_fails(*args, **kwargs):
+            raise SolverFault("PA-FA fault")
+
+        monkeypatch.setattr(baselines, "solve_lanes", stack_fails)
+        if fa_faults:
+            # pa_fa's own solve; joint_solve calls sa.pa_solve
+            monkeypatch.setattr(baselines, "pa_solve", fa_fails)
+        results, faults = run_methods(cfg)
+        assert faults == ({"PA-FA": "SolverFault: PA-FA fault"} if fa_faults else {})
+        got = {r.method: r for r in results}
+        assert sorted(got) == (["EA-FA", "PA-SA"] if fa_faults
+                               else ["EA-FA", "PA-FA", "PA-SA"])
+        for method, r in got.items():
+            if method != "EA-FA":
+                assert r.allocation.omega.tobytes() == want[method].allocation.omega.tobytes()
+                assert repr(r.hpe) == repr(want[method].hpe)
+        assert (report_record(got["PA-SA"].extra["report"])
+                == report_record(want["PA-SA"].extra["report"]))
 
 
 class TestSweep:

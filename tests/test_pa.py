@@ -147,6 +147,84 @@ class TestLaneStack:
             assert {k: v[i] for k, v in info.items()} == want_info
 
 
+def oracle_dr_loop(ch, power_cfg):
+    """The DR loop as first written, for ``lanes._dr_loop``'s signature.
+
+    It calls both public prox operators on every iteration and checks
+    every 10 iterations for a stall against the window's best residual.
+    """
+
+    def loop(stack, lam, gamma, start, pa_cfg, p_sub, p_total):
+        n = len(lam)
+        x_out = np.empty_like(start)
+        residual_out, gamma_out = np.empty(n), np.empty(n)
+        iters_out = np.empty(n, dtype=int)
+        run = np.arange(n)
+        z = start.copy()
+        window_best = np.full(n, np.inf)
+        for u in range(pa_cfg.max_dr):
+            x = prox_consumption(z, lam, gamma, power_cfg, stack.a_tilde, ch.n_elements)
+            y = prox_neg_harvest(2.0 * x - z, gamma, stack.quad)
+            f = (y - x).reshape(len(run), 1, -1)
+            residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
+            done = residual <= pa_cfg.dr_residual_tol
+            if done.any():
+                fin = run[done]
+                x_out[fin], residual_out[fin] = x[done], residual[done]
+                iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
+                keep = np.flatnonzero(~done)
+                run, x, y, z, residual, window_best, lam, gamma = (
+                    a[keep] for a in (run, x, y, z, residual, window_best, lam, gamma))
+                if not len(run):
+                    break
+                stack = stack.take(keep)
+            z = z + (y - x)
+            window_best = np.minimum(window_best, residual)
+            if (u + 1) % 10 == 0:
+                stall = residual > 0.5 * window_best
+                gamma = np.where(stall, gamma * 0.25, gamma)
+                z = np.where(stall[:, None, None], x, z)
+                window_best = residual
+        x_out[run], residual_out[run] = x, residual
+        iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
+        return x_out, residual_out, iters_out, gamma_out
+
+    return loop
+
+
+class TestDRLoopOracle:
+    """dr_step gives the bits of the DR loop as first written."""
+
+    @pytest.mark.parametrize("gamma_scale", [1.0, 10.0, 0.1],
+                             ids=["default", "capped", "small"])
+    def test_dr_step_matches_oracle(self, monkeypatch, gamma_scale):
+        _, ch = make_channels(n_sub=4, n_users=3, seed=1)
+        pa_cfg, power_cfg = PAConfig(), PowerConfig()
+        masks = ((np.arange(1, 16)[:, None] >> np.arange(4)) & 1).astype(float)
+        stack = lanes.Lanes.build(ch, masks, power_cfg)
+        rng = np.random.default_rng(0)
+        omega0 = rng.uniform(0.0, power_cfg.p_sub(ch.n_elements) / 3, (15, 4, 3))
+        lam = np.linspace(0.0, 1e-3, 15)
+        gamma = gamma_scale * lanes.initial_gamma(stack.lam_max, pa_cfg)
+
+        def step():
+            return lanes.dr_step(ch, stack, lam, gamma, omega0, pa_cfg, power_cfg)
+
+        omega, info = step()
+        monkeypatch.setattr(lanes, "_dr_loop", oracle_dr_loop(ch, power_cfg))
+        want_omega, want_info = step()
+        assert omega.tobytes() == want_omega.tobytes()
+        for key in want_info:
+            assert info[key].tobytes() == want_info[key].tobytes(), key
+        # every stack runs past three prox-step shrinks, and at the default
+        # step lanes leave between them
+        iters = info["dr_iterations"]
+        assert iters.max() > 30
+        if gamma_scale == 1.0:
+            for lo, hi in ((10, 20), (20, 30), (30, iters.max())):
+                assert np.any((iters > lo) & (iters < hi)), (lo, hi)
+
+
 class TestDeadUsers:
     """A user that no active sub-array reaches is given no power."""
 

@@ -1,4 +1,5 @@
-"""Property-based invariants of the lane-stacked feasibility projection."""
+"""Property-based invariants of the feasibility projection, the harvest prox
+and the joint activation/allocation loop."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from xlwpt.pa import project_feasible  # noqa: E402
+from xlwpt.pa import PAConfig, project_feasible, prox_neg_harvest  # noqa: E402
+from xlwpt.power import PowerConfig  # noqa: E402
+from xlwpt.sa import HPE_MONOTONE_SLACK, SAConfig, joint_solve  # noqa: E402
+from xlwpt.scenario import ClusterSpec, ScenarioConfig  # noqa: E402
 
 
 @st.composite
@@ -40,3 +44,58 @@ def test_projection_feasible_idempotent_and_lane_exact(stack):
     for lane in range(len(v)):
         want = project_feasible(v[lane], p_sub, p_total, active[lane])
         assert got[lane].tobytes() == want.tobytes()
+
+
+@st.composite
+def harvest_stacks(draw):
+    """Entrywise non-negative PSD stacks A = G G^T, (B, M, S, S), with
+    2 gamma lambda_max(A) < 1 per lane; the solve's q is then >= 0."""
+    n_lanes = draw(st.integers(1, 4))
+    n_users = draw(st.integers(1, 3))
+    n_sub = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 3))
+    g = draw(arrays(np.float64, (n_lanes, n_users, n_sub, rank),
+                    elements=st.floats(0.0, 1.0)))
+    # no tiny entries: a lambda_max near underflow would overflow gamma
+    g[g < 1e-3] = 0.0
+    quad = g @ np.swapaxes(g, -1, -2)
+    lam_max = np.linalg.eigvalsh(quad).max(axis=(-2, -1))
+    share = draw(arrays(np.float64, (n_lanes,), elements=st.floats(0.01, 0.95)))
+    gamma = np.where(lam_max > 0, share / (2.0 * np.where(lam_max > 0, lam_max, 1.0)),
+                     share)
+    v = draw(arrays(np.float64, (n_lanes, n_sub, n_users),
+                    elements=st.floats(0.0, 2.0)))
+    return v, gamma, quad
+
+
+@settings(max_examples=60, deadline=None)
+@given(harvest_stacks())
+def test_harvest_prox_solves_its_system(stack):
+    v, gamma, quad = stack
+    q = np.sqrt(prox_neg_harvest(v, gamma, quad))
+    lhs = np.eye(quad.shape[-1]) - 2.0 * gamma[:, None, None, None] * quad
+    # (B, M, S) columns: (I - 2 gamma A_m) q_m against sqrt(v_m)
+    got = np.einsum("bmst,btm->bms", lhs, q)
+    want = np.swapaxes(np.sqrt(v), -1, -2)
+    err = np.linalg.norm(got - want, axis=-1)
+    assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=-1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), n_sub=st.integers(1, 6), n_vr=st.integers(1, 2),
+       warm_start=st.booleans())
+def test_joint_solve_prunes_for_good_and_never_loses(seed, n_sub, n_vr, warm_start):
+    cfg = ScenarioConfig(n_sub=n_sub, nx=8, ny=2, seed=seed,
+                         clusters=ClusterSpec(n_vr=n_vr, count=3, range_m=0.5,
+                                              radius_m=0.1))
+    alloc, report = joint_solve(cfg.channel_set(), PAConfig(),
+                                SAConfig(warm_start=warm_start), PowerConfig())
+    active = np.array(report.active_trace)
+    # a pruned module never comes back, down to the final binary re-solve
+    assert np.all(np.diff(active, axis=0) <= 0)
+    assert np.array_equal(alloc.a, active[-1])
+    # accepted iterates never lose more than the declared slack
+    assert np.all(np.diff(report.hpe_trace) >= -HPE_MONOTONE_SLACK)
+    assert report.final_hpe >= report.hpe_trace[-1] - HPE_MONOTONE_SLACK
+    for block in report.lambda_trace:
+        assert np.all(np.diff(block) >= 0.0)
