@@ -85,22 +85,20 @@ def pa_sa(ch, pa_cfg, power_cfg, sa_cfg=None, first=None):
                         extra={"report": report})
 
 
-def opening_lanes(ch, pa_cfg, power_cfg, sa_cfg):
+def opening_lanes(ch, pa_cfg, power_cfg):
     """PA-FA's solve and PA-SA's first outer solve, as one two-lane stack.
 
-    Neither depends on another method: PA-FA solves the full array from
-    the uniform split, and PA-SA's first iterate is ``outer_problem`` on
-    the uniform split. Each lane gives the bits of the method's own
-    one-lane solve. Returns ``{"PA-FA": SolvedLane, "PA-SA": SolvedLane}``.
+    Neither depends on another method: PA-FA solves the full array, and
+    PA-SA's first a~ is ``outer_problem`` on the uniform split. Both lanes
+    start from ``solve_lanes``' default uniform split, which the lane core
+    projects onto each lane's feasible set, as either method's own
+    one-lane solve would. Each lane gives the bits of that solve. Returns
+    ``{"PA-FA": SolvedLane, "PA-SA": SolvedLane}``.
     """
     tic = time.perf_counter()
-    uniform = uniform_split(ch, power_cfg)
-    _, a_tilde, start = outer_problem(
-        uniform, np.ones(ch.n_sub, dtype=int), sa_cfg.warm_start,
-        power_cfg.p_sub(ch.n_elements), power_cfg.p_total(ch.n_sub, ch.n_elements))
-    omegas, log = solve_lanes(ch, np.stack([np.ones(ch.n_sub), a_tilde]), pa_cfg,
-                              power_cfg,
-                              np.stack([uniform, uniform if start is None else start]))
+    ones = np.ones(ch.n_sub, dtype=int)
+    _, a_tilde = outer_problem(uniform_split(ch, power_cfg), ones)
+    omegas, log = solve_lanes(ch, np.stack([ones, a_tilde]), pa_cfg, power_cfg)
     seconds = time.perf_counter() - tic
     return {method: SolvedLane(omegas[i], log.trace(i), seconds)
             for i, method in enumerate(("PA-FA", "PA-SA"))}

@@ -107,7 +107,7 @@ def run_methods(cfg, outdir=None):
     opening = {}
     if "PA-FA" in cfg.methods and "PA-SA" in cfg.methods:
         try:
-            opening = baselines.opening_lanes(ch, pa_cfg, cfg.power, sa_cfg)
+            opening = baselines.opening_lanes(ch, pa_cfg, cfg.power)
         except Exception:  # noqa: BLE001 - each method then solves alone
             # a fault in one lane aborts the stack; the solo runs below
             # give each method its own result or fault

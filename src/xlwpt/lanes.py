@@ -9,9 +9,13 @@ gives the same bits as a one-lane call: ``pa.pa_solve`` and ``pa.dr_solve``
 are one-lane calls, PA-ES solves its subsets as stacks, and
 ``baselines.opening_lanes`` stacks PA-FA with PA-SA's first PA solve.
 
-A user no active sub-array reaches is given no power: the start
-projections zero its entries, and the operators keep them zero (its harvest
-matrix is 0, its consumption-prox input <= 0 and its polish gradient 0).
+Callers pass a start as it is, or none for the uniform split:
+``solve_lanes`` projects each start onto its lane's feasible set, and
+every projection here masks with ``Lanes.allowed``, a lane's active rows
+restricted to the users some active row reaches. A user no active
+sub-array reaches is thus given no power: the start projections zero its
+entries, and the operators keep them zero (its harvest matrix is 0, its
+consumption-prox input <= 0 and its polish gradient 0).
 """
 
 import time
@@ -146,10 +150,10 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg, p_sub, p_total):
     iters_out = np.empty(n, dtype=int)
     run = np.arange(n)
     z = start.copy()
-    slope, active = lanes.slope, lanes.a_tilde > 0
+    slope, allowed = lanes.slope, lanes.allowed
     step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
-        x = _consumption_prox(z, step, slope, p_sub, p_total, active)
+        x = _consumption_prox(z, step, slope, p_sub, p_total, allowed)
         y = _harvest_prox(2.0 * x - z, lhs)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)
@@ -163,9 +167,9 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg, p_sub, p_total):
             x_out[fin], residual_out[fin] = x[done], residual[done]
             iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
             keep = np.flatnonzero(~done)
-            run, x, y, z, residual, lam, gamma, step, slope, active, lhs = (
+            run, x, y, z, residual, lam, gamma, step, slope, allowed, lhs = (
                 a[keep] for a in (run, x, y, z, residual, lam, gamma, step,
-                                  slope, active, lhs))
+                                  slope, allowed, lhs))
             if not len(run):
                 break
         z = z + (y - x)
@@ -223,7 +227,8 @@ class LaneLog:
     """Dinkelbach iterations of a lane stack, kept as per-iteration arrays.
 
     Each row holds the indices of the lanes that ran that iteration and
-    their records; a lane's ``PATrace`` is built only when asked for.
+    their records, one array per lane keyed by its ``DinkelbachState``
+    field name; a lane's ``PATrace`` is built only when asked for.
     """
 
     def __init__(self, n_lanes):
@@ -236,19 +241,9 @@ class LaneLog:
             i = np.searchsorted(run, lane)
             if i == len(run) or run[i] != lane:
                 break
-            lam, phi, harvested, consumed, residual, dr_residual, dr_iters = (
-                r[i] for r in records)
             trace.states.append(DinkelbachState(
-                t=t,
-                lambda_t=float(lam),
-                phi=float(phi),
-                harvested=float(harvested),
-                consumed=float(consumed),
-                residual=float(residual),
-                dr_residual=float(dr_residual),
-                dr_iterations=int(dr_iters),
-                wall_ns=wall_ns,
-            ))
+                t=t, wall_ns=wall_ns,
+                **{name: values[i].item() for name, values in records.items()}))
         return trace
 
 
@@ -297,9 +292,10 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
             )
         lam = np.where(lam_new > lam, lam_new, lam)
         # one wall time per iteration of the whole stack
-        log.rows.append((t, run, time.perf_counter_ns() - tic, (
-            lam, harvested - lam * consumed, harvested, consumed, residual,
-            info["dr_residual"], info["dr_iterations"])))
+        log.rows.append((t, run, time.perf_counter_ns() - tic, dict(
+            lambda_t=lam, phi=harvested - lam * consumed, harvested=harvested,
+            consumed=consumed, residual=residual, dr_residual=info["dr_residual"],
+            dr_iterations=info["dr_iterations"])))
         done = residual <= pa_cfg.epsilon
         if done.any():
             log.converged[run[done]] = True

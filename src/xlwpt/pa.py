@@ -114,8 +114,8 @@ def _consumption_parts(a_tilde, power_cfg, n_users, n_elements):
 
 def dinkelbach_phi(ch, omega, a_tilde, lam, power_cfg):
     """Transformed objective I(omega, a~) - lambda * P_c(omega, a~)."""
-    alloc = AllocationState(omega=np.array(omega, dtype=float),
-                            a=(np.asarray(a_tilde) > 0).astype(int), a_tilde=a_tilde)
+    alloc = AllocationState(omega=omega, a=(np.asarray(a_tilde) > 0).astype(int),
+                            a_tilde=a_tilde)
     harvested = harvested_power(ch, alloc, use_parameterized=True)
     consumed = consumed_power(alloc, power_cfg, ch.n_users, ch.n_elements,
                               use_parameterized=True)
@@ -149,8 +149,8 @@ def project_feasible(omega_raw, p_sub, p_total, active):
 
 def _consumption_prox(z, step, slope, p_sub, p_total, active):
     """``prox_consumption`` from its parts: ``step`` = gamma * lambda per lane,
-    P_c's per-entry ``slope`` and the ``active`` row mask, which the DR loop
-    builds once for its whole run.
+    P_c's per-entry ``slope`` and the feasible-set mask ``active``, which
+    the DR loop takes from its lanes once for its whole run.
     """
     shifted = z - np.asarray(step)[..., None, None] * slope
     return project_feasible(shifted, p_sub, p_total, active)
@@ -198,7 +198,7 @@ def prox_neg_harvest(v, gamma, quad):
     return _harvest_prox(v, _harvest_matrix(gamma, quad))
 
 
-def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
+def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None):
     """One parametric subproblem solve: DR splitting plus monotone safeguard.
 
     Returns the feasible allocation together with solve diagnostics. The
@@ -211,8 +211,7 @@ def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None, gamma_init=None):
     stack = lanes.Lanes.build(ch, a_tilde[None], power_cfg)
     if omega0 is None:
         omega0 = uniform_split(ch, power_cfg)
-    gamma = (lanes.initial_gamma(stack.lam_max, pa_cfg) if gamma_init is None
-             else np.array([gamma_init], dtype=float))
+    gamma = lanes.initial_gamma(stack.lam_max, pa_cfg)
     omega, info = lanes.dr_step(ch, stack, np.array([lam], dtype=float), gamma,
                                 np.asarray(omega0, dtype=float)[None], pa_cfg, power_cfg)
     return omega[0], {key: value[0].item() for key, value in info.items()}

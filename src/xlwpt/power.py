@@ -56,9 +56,10 @@ class AllocationState:
     a_tilde: np.ndarray        # (S,) parameterized activations in [0, 1]
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
+        # copies: switched-off rows are zeroed below, never in the caller's arrays
+        self.omega = np.array(self.omega, dtype=float)
         self.a = np.asarray(self.a, dtype=int)
-        self.a_tilde = np.asarray(self.a_tilde, dtype=float)
+        self.a_tilde = np.array(self.a_tilde, dtype=float)
         if self.omega.ndim != 2:
             raise ValueError("omega must be an (S, M) matrix")
         if self.a.shape != (self.omega.shape[0],) or self.a_tilde.shape != self.a.shape:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pa import pa_solve, project_feasible
+from .pa import pa_solve
 from .power import AllocationState, hpe, uniform_split
 
 HPE_MONOTONE_SLACK = 1e-9
@@ -77,22 +77,20 @@ def parameterize(a, g):
     return np.asarray(g, dtype=float) * np.asarray(a, dtype=float)
 
 
-def outer_problem(omega, a, warm_start, p_sub, p_total):
+def outer_problem(omega, a):
     """The PA problem of the next outer iterate, from the current one.
 
     Prunes by the surrogate of ``omega`` (pruned modules never come back)
-    and parameterizes the survivors. Returns the new binary activation,
-    a~ and the PA start: ``omega`` projected onto a~'s active rows, or
-    None (``pa_solve``'s uniform split) when warm starts are off.
+    and parameterizes the survivors. Returns the new binary activation and
+    a~; the lane core projects whatever start the solve is given onto a~'s
+    feasible set.
     """
     n_sub = len(a)
     g = surrogate(omega) if omega.sum() > 0 else np.full(n_sub, 1.0 / n_sub)
     a_new = activation_update(g) * a
     if a_new.sum() == 0:
         a_new = a.copy()
-    a_tilde = parameterize(a_new, g)
-    start = project_feasible(omega, p_sub, p_total, a_tilde > 0) if warm_start else None
-    return a_new, a_tilde, start
+    return a_new, parameterize(a_new, g)
 
 
 def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
@@ -107,33 +105,40 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
     not decrease, so the trace is monotone; a declining candidate ends
     the loop with the previous iterate.
 
+    Each PA solve starts from the last accepted allocation as it stands,
+    or from the uniform split when warm starts are off; the lane core
+    projects that start onto the new problem's feasible set.
+
     ``first`` is the first outer iterate's PA solve, a
     ``baselines.SolvedLane``, when a shared stack has already made it
-    (``outer_problem`` on the uniform split gives its inputs); its
-    stack's wall time counts in ``wall_clock``.
+    (``outer_problem`` on the uniform split gives its a~); its stack's
+    wall time counts in ``wall_clock``.
     """
     tic = time.perf_counter()
-    n_sub = ch.n_sub
-    p_sub = power_cfg.p_sub(ch.n_elements)
-    p_total = power_cfg.p_total(n_sub, ch.n_elements)
-
-    a = np.ones(n_sub, dtype=int)
+    a = np.ones(ch.n_sub, dtype=int)
     omega = uniform_split(ch, power_cfg)
     report = SolveReport()
 
     def binary_hpe(om, act):
-        return hpe(ch, AllocationState(omega=np.array(om), a=act,
-                                       a_tilde=act.astype(float)), power_cfg)
+        return hpe(ch, AllocationState(omega=om, a=act, a_tilde=act.astype(float)),
+                   power_cfg)
+
+    def solve(a_tilde):
+        return pa_solve(ch, a_tilde, pa_cfg, power_cfg,
+                        omega0=omega if sa_cfg.warm_start else None)
+
+    def record(pa_trace):
+        report.lambda_trace.append(pa_trace.lambda_trace)
+        report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
+        report.pa_iterations += pa_trace.n_iterations
 
     gamma_prev = None
     for i in range(1, sa_cfg.max_iters + 1):
-        a_new, a_tilde, start = outer_problem(omega, a, sa_cfg.warm_start, p_sub,
-                                              p_total)
+        a_new, a_tilde = outer_problem(omega, a)
         if i == 1 and first is not None:
             omega_new, pa_trace = first.omega, first.trace
         else:
-            omega_new, pa_trace = pa_solve(ch, a_tilde, pa_cfg, power_cfg,
-                                           omega0=start)
+            omega_new, pa_trace = solve(a_tilde)
         gamma_i = binary_hpe(omega_new, a_new)
 
         if gamma_prev is not None and gamma_i < gamma_prev - HPE_MONOTONE_SLACK:
@@ -146,9 +151,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         omega = omega_new
         report.hpe_trace.append(gamma_i)
         report.active_trace.append(a.copy())
-        report.lambda_trace.append(pa_trace.lambda_trace)
-        report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
-        report.pa_iterations += pa_trace.n_iterations
+        record(pa_trace)
         report.outer_iterations = i
         if gamma_prev is not None and abs(gamma_i - gamma_prev) < sa_cfg.delta * gamma_prev:
             report.converged = True
@@ -157,9 +160,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         gamma_prev = gamma_i
 
     # report real on/off hardware: one binary re-solve on the final active set
-    start = project_feasible(omega, p_sub, p_total, a > 0) if sa_cfg.warm_start else None
-    omega_final, pa_trace = pa_solve(ch, a.astype(float), pa_cfg, power_cfg,
-                                     omega0=start)
+    omega_final, pa_trace = solve(a.astype(float))
     final = binary_hpe(omega_final, a)
     if report.hpe_trace and final < report.hpe_trace[-1] - HPE_MONOTONE_SLACK:
         # binary re-solve is warm-started at the last accepted iterate, so
@@ -167,9 +168,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         omega_final = omega
         final = report.hpe_trace[-1]
     else:
-        report.lambda_trace.append(pa_trace.lambda_trace)
-        report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
-        report.pa_iterations += pa_trace.n_iterations
+        record(pa_trace)
 
     report.final_hpe = final
     report.wall_clock = time.perf_counter() - tic

@@ -105,17 +105,15 @@ class ScenarioConfig:
     def sa_config(self):
         return self.sa
 
-    def users(self, rng=None):
+    def users(self):
         """Materialize user positions, explicit or cluster-generated."""
         if self.positions is not None:
             return [UserPosition(x=p[0], y=p[1], z=p[2], vr_label=int(p[3]))
                     for p in self.positions]
-        rng = rng if rng is not None else np.random.default_rng(self.seed)
-        return generate_cluster_users(self.clusters, rng)
+        return generate_cluster_users(self.clusters, np.random.default_rng(self.seed))
 
-    def channel_set(self, rng=None):
-        return build_channel_set(self.geometry(), self.users(rng),
-                                 self.amplitude_model)
+    def channel_set(self):
+        return build_channel_set(self.geometry(), self.users(), self.amplitude_model)
 
 
 def cluster_sizes(count, n_vr):

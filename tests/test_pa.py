@@ -434,12 +434,13 @@ class TestProxNegHarvest:
 
     def test_expansive_step_autoshrinks(self):
         # the solver caps a step with 2 gamma lam_max >= 1 at 0.45 / lam_max,
-        # so the harvest prox neither blows up nor goes negative
+        # so the harvest prox neither blows up nor goes negative; gamma=10
+        # asks for a first step of 10 / lam_max
         _, ch = make_channels(n_sub=2, n_users=1, seed=10)
         a_tilde = np.ones(2)
         lam_max = quadratic_sup(build_quadratic(ch, a_tilde))
-        out, info = dr_solve(ch, a_tilde, 0.01, PAConfig(), PowerConfig(),
-                             omega0=np.full((2, 1), 0.1), gamma_init=10.0 / lam_max)
+        out, info = dr_solve(ch, a_tilde, 0.01, PAConfig(gamma=10.0), PowerConfig(),
+                             omega0=np.full((2, 1), 0.1))
         assert info["gamma"] <= 0.45 / lam_max
         assert np.all(np.isfinite(out))
         assert np.all(out >= 0)

@@ -218,6 +218,12 @@ class TestAllocationState:
         assert np.all(alloc.omega[1] == 0.0)
         assert alloc.a_tilde[1] == 0.0
 
+    def test_caller_arrays_unchanged(self):
+        omega, a_tilde = np.full((2, 2), 0.1), np.array([1.0, 0.7])
+        AllocationState(omega=omega, a=[1, 0], a_tilde=a_tilde)
+        assert np.all(omega == 0.1)
+        assert a_tilde.tolist() == [1.0, 0.7]
+
     def test_validate_catches_row_violation(self):
         cfg = PowerConfig()
         alloc = AllocationState(omega=[[0.3, 0.3]], a=[1], a_tilde=[1.0])

@@ -1,13 +1,15 @@
 """Sub-array activation loop tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from xlwpt import sa
 from xlwpt.bench import run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
-from xlwpt.pa import PAConfig
+from xlwpt.pa import PAConfig, pa_solve, project_feasible
 from xlwpt.power import AllocationState, PowerConfig, hpe
 from xlwpt.sa import (
     SAConfig,
@@ -142,6 +144,43 @@ class TestJointSolve:
             SAConfig(delta=0.0)
         with pytest.raises(ValueError):
             SAConfig(max_iters=0)
+
+
+class TestWarmStartHandOff:
+    def test_raw_start_solves_like_its_projection(self, monkeypatch):
+        # joint_solve hands its last allocation to pa_solve as it is; the
+        # lane core's own projection must make that the same solve as one
+        # from the start projected onto a~'s rows. Only real hand-offs are
+        # checked: project_feasible is not bitwise idempotent on arbitrary
+        # input, so drawn starts would test something else.
+        base = ScenarioConfig()
+        pairs = []
+
+        def spy(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
+            p_sub = power_cfg.p_sub(ch.n_elements)
+            if omega0 is not None and np.any(omega0[a_tilde > 0].sum(axis=1) > p_sub):
+                pairs.append((ch, np.array(a_tilde), np.array(omega0)))
+            return pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=omega0)
+
+        monkeypatch.setattr(sa, "pa_solve", spy)
+        for seed in (0, 1):
+            for n_sub in (10, 16):
+                for n_vr in (1, 2):
+                    cfg = replace(base, n_sub=n_sub, seed=seed,
+                                  clusters=replace(base.clusters, n_vr=n_vr))
+                    joint_solve(cfg.channel_set(), cfg.pa_config(), cfg.sa_config(),
+                                cfg.power)
+        assert pairs
+        pa_cfg, power_cfg = base.pa_config(), base.power
+        for ch, a_tilde, start in pairs:
+            projected = project_feasible(start, power_cfg.p_sub(ch.n_elements),
+                                         power_cfg.p_total(ch.n_sub, ch.n_elements),
+                                         a_tilde > 0)
+            got = pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=start)
+            want = pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=projected)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert ([replace(s, wall_ns=0) for s in got[1].states]
+                    == [replace(s, wall_ns=0) for s in want[1].states])
 
 
 class TestExports:
