@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lanes import solve_lanes
-from .pa import PATrace, pa_solve
+from .pa import PATrace, pa_solve, solve_lanes
 from .power import AllocationState, _consumed, _harvested, hpe, uniform_split
 from .sa import SAConfig, joint_solve, outer_problem
 

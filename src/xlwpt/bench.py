@@ -80,6 +80,9 @@ class SweepSpec:
             raise ValueError("sweep variable must be 'S' or 'V'")
         if not self.values:
             raise ValueError("sweep needs a non-empty value list")
+        if len({int(v) for v in self.values}) != len(self.values):
+            raise ValueError("sweep values must be distinct, got %s"
+                             % ",".join(str(v) for v in self.values))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -222,26 +225,40 @@ def _emit_aggregate(rows, spec, outdir, column, filename, cell=float):
 
 
 def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
-                  path="powermap.csv", fixed_coord=0.0, ch=None):
+                  path="powermap.csv", fixed_coord=None, ch=None):
     """Raster of harvested power seen by a probe over one coordinate plane.
 
+    ``fixed_coord`` places the plane on its third axis: by default y = 0
+    for xz, x = 0 for yz, and the users' mean depth z for xy, which must
+    lie in front of the array (z > 0). The default xy extent is a square
+    centred on boresight that holds the array's width and every user.
     ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if plane not in ("xz", "yz", "xy"):
         raise ValueError("plane must be one of xz, yz, xy")
+    if plane == "xy" and fixed_coord is not None and not fixed_coord > 0:
+        raise ValueError("an xy power map lies in front of the array, so it "
+                         "needs fixed_coord > 0, got %g" % fixed_coord)
     geom = cfg.geometry()
     if ch is None:
         ch = cfg.channel_set()
+    half = geom.n_sub * geom.nx * geom.d / 2.0
+    if plane == "xy":
+        users = cfg.users()
+        if fixed_coord is None:
+            fixed_coord = np.mean([p.z for p in users])
+        if extent is None:
+            half = max([half] + [max(abs(p.x), abs(p.y)) for p in users])
+            extent = (-half, half, -half, half)
     if extent is None:
-        half = geom.n_sub * geom.nx * geom.d / 2.0
         extent = (-half, half, 0.05, max(2.0 * cfg.clusters.range_m, 1.0))
     u = np.linspace(extent[0], extent[1], resolution)
     v = np.linspace(extent[2], extent[3], resolution)
     # rows run over v, and over u within each row
     uu, vv = np.meshgrid(u, v)
-    fixed = np.full(uu.shape, float(fixed_coord))
+    fixed = np.full(uu.shape, float(fixed_coord or 0.0))
     probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
                        "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
     values = power_map(geom, alloc, ch, probes,

@@ -113,9 +113,9 @@ def _consumed(omega, weights, power_cfg, n_users, n_elements):
             + n_users * power_cfg.p_cr)
 
 
-def received_power_per_user(ch, alloc, use_parameterized=False):
+def received_power_per_user(ch, alloc):
     """Harvested RF power at each receiving user [W]."""
-    t = _coherent_user_sums(ch, alloc.omega, alloc.weights(use_parameterized))
+    t = _coherent_user_sums(ch, alloc.omega, alloc.a)
     return np.sum(np.abs(t) ** 2, axis=1)
 
 
@@ -145,15 +145,13 @@ def hpe(ch, alloc, power_cfg, use_parameterized=False):
     return harvested_power(ch, alloc, use_parameterized) / pc
 
 
-def power_map(geom, alloc, ch, probes, use_parameterized=False,
-              amplitude_model="center"):
+def power_map(geom, alloc, ch, probes, amplitude_model="center"):
     """Harvested power a virtual probe user would collect at each location.
 
     The precoders and power coefficients stay fixed at the values designed
     for the real users; only the receive channel is re-synthesized per probe.
     """
-    w = alloc.weights(use_parameterized)
-    coef = w[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
+    coef = alloc.a[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
     g_conj = np.conj(ch.g)
     pts = np.asarray(probes, dtype=float).reshape(-1, 3)
     values = np.zeros(len(pts))

@@ -321,6 +321,8 @@ class TestSweep:
             SweepSpec(variable="S", values=())
         with pytest.raises(ValueError):
             SweepSpec(variable="S", values=(2,), repetitions=0)
+        with pytest.raises(ValueError, match="distinct"):
+            SweepSpec(variable="S", values=(2, 2, 3))
 
 
 class TestPowerMap:
@@ -376,6 +378,12 @@ class TestPowerMap:
         results, _ = run_methods(cfg)
         with pytest.raises(ValueError):
             emit_powermap(cfg, results[0].allocation, plane="zz")
+        # an xy plane on or behind the array holds no probe
+        for z in (0.0, -0.5):
+            with pytest.raises(ValueError, match="fixed_coord > 0"):
+                emit_powermap(cfg, results[0].allocation, plane="xy",
+                              path=str(tmp_path / "m.csv"), fixed_coord=z)
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestConvergenceExport:
@@ -468,6 +476,21 @@ class TestCLI:
         assert code == 0
         assert path.read_text().splitlines()[0] == "x_m,z_m,watts"
 
+    def test_powermap_xy_faces_the_users(self, tmp_path):
+        # the default xy plane lies at the users' depth, in front of the
+        # array, over a square about boresight that holds every user
+        path = tmp_path / "pm.csv"
+        code = main(["powermap", self.write_cfg(tmp_path), "--plane", "xy",
+                     "--res", "9", "--out", str(path)])
+        assert code == 0
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert path.read_text().splitlines()[0] == "x_m,y_m,watts"
+        assert rows[:, 2].max() > 0
+        x, y = rows[:, 0], rows[:, 1]
+        assert y.min() == -y.max()
+        for u in scenario_from_dict(SMALL_JSON).users():
+            assert x.min() <= u.x <= x.max() and y.min() <= u.y <= y.max()
+
     def test_powermap_builds_channel_set_once(self, tmp_path, monkeypatch):
         import xlwpt.scenario as scenario
 
@@ -529,6 +552,18 @@ class TestCLI:
         code = main(["sweep", self.write_cfg(tmp_path), "--values", "2,0",
                      "--out", str(out)])
         assert code == 2
+        assert calls == []
+        assert not out.exists()
+
+    def test_sweep_repeated_value_rejected_before_solving(self, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(bench, "run_methods", lambda *a, **k: calls.append(a))
+        out = tmp_path / "sw"
+        code = main(["sweep", self.write_cfg(tmp_path), "--values", "2,2,3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

@@ -8,7 +8,7 @@ whole-solver instances.
 import numpy as np
 import pytest
 
-from xlwpt import lanes
+from xlwpt import pa
 from xlwpt.geometry import ArrayGeometry, ChannelSet, UserPosition, build_channel_set
 from xlwpt.pa import (
     PAConfig,
@@ -136,11 +136,10 @@ class TestLaneStack:
         _, ch = make_channels(n_sub=4, n_users=3, seed=3)
         pa_cfg, power_cfg = PAConfig(), PowerConfig()
         masks = ((np.arange(1, 16)[:, None] >> np.arange(4)) & 1).astype(float)
-        stack = lanes.Lanes.build(ch, masks, power_cfg)
+        stack = pa.Lanes.build(ch, masks, power_cfg)
         omega0 = np.full((len(masks), 4, 3), power_cfg.p_sub(ch.n_elements) / 3)
-        omega, info = lanes.dr_step(ch, stack, np.full(len(masks), 0.01),
-                                    lanes.initial_gamma(stack.lam_max, pa_cfg),
-                                    omega0, pa_cfg, power_cfg)
+        omega, info = pa.dr_step(stack, np.full(len(masks), 0.01),
+                                 pa.initial_gamma(stack.lam_max, pa_cfg), omega0, pa_cfg)
         for i, mask in enumerate(masks):
             want, want_info = dr_solve(ch, mask, 0.01, pa_cfg, power_cfg)
             assert omega[i].tobytes() == want.tobytes()
@@ -148,13 +147,13 @@ class TestLaneStack:
 
 
 def oracle_dr_loop(ch, power_cfg):
-    """The DR loop as first written, for ``lanes._dr_loop``'s signature.
+    """The DR loop as first written, for ``pa._dr_loop``'s signature.
 
     It calls both public prox operators on every iteration and checks
     every 10 iterations for a stall against the window's best residual.
     """
 
-    def loop(stack, lam, gamma, start, pa_cfg, p_sub, p_total):
+    def loop(stack, lam, gamma, start, pa_cfg):
         n = len(lam)
         x_out = np.empty_like(start)
         residual_out, gamma_out = np.empty(n), np.empty(n)
@@ -201,17 +200,17 @@ class TestDRLoopOracle:
         _, ch = make_channels(n_sub=4, n_users=3, seed=1)
         pa_cfg, power_cfg = PAConfig(), PowerConfig()
         masks = ((np.arange(1, 16)[:, None] >> np.arange(4)) & 1).astype(float)
-        stack = lanes.Lanes.build(ch, masks, power_cfg)
+        stack = pa.Lanes.build(ch, masks, power_cfg)
         rng = np.random.default_rng(0)
         omega0 = rng.uniform(0.0, power_cfg.p_sub(ch.n_elements) / 3, (15, 4, 3))
         lam = np.linspace(0.0, 1e-3, 15)
-        gamma = gamma_scale * lanes.initial_gamma(stack.lam_max, pa_cfg)
+        gamma = gamma_scale * pa.initial_gamma(stack.lam_max, pa_cfg)
 
         def step():
-            return lanes.dr_step(ch, stack, lam, gamma, omega0, pa_cfg, power_cfg)
+            return pa.dr_step(stack, lam, gamma, omega0, pa_cfg)
 
         omega, info = step()
-        monkeypatch.setattr(lanes, "_dr_loop", oracle_dr_loop(ch, power_cfg))
+        monkeypatch.setattr(pa, "_dr_loop", oracle_dr_loop(ch, power_cfg))
         want_omega, want_info = step()
         assert omega.tobytes() == want_omega.tobytes()
         for key in want_info:
@@ -259,7 +258,7 @@ class TestDeadUsers:
         ch, pa_cfg, power_cfg = self.channels(), PAConfig(), PowerConfig()
         warm = self.warm_start(ch, power_cfg)
         for omega0 in (None, np.stack([warm] * len(self.MASKS))):
-            omega, log = lanes.solve_lanes(ch, self.MASKS, pa_cfg, power_cfg, omega0)
+            omega, log = pa.solve_lanes(ch, self.MASKS, pa_cfg, power_cfg, omega0)
             for i, mask in enumerate(self.MASKS):
                 want, trace = pa_solve(ch, mask, pa_cfg, power_cfg,
                                        None if omega0 is None else warm)
