@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pa import PATrace, pa_solve, solve_lanes
-from .power import AllocationState, _consumed, _harvested, hpe, uniform_split
+from .power import AllocationState, consumed_lanes, harvested_lanes, hpe, uniform_split
 from .sa import SAConfig, joint_solve, outer_problem
 
 ES_SUBARRAY_CAP = 12
@@ -127,10 +127,10 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
     omegas = np.concatenate([solve_lanes(ch, stack, pa_cfg, power_cfg)[0]
                              for stack in np.array_split(masks, n_stacks)])
     # the lane kernels of hpe(), so every subset's value has hpe()'s bits
-    consumed = _consumed(omegas, masks, power_cfg, ch.n_users, ch.n_elements)
+    consumed = consumed_lanes(omegas, masks, power_cfg, ch.n_users, ch.n_elements)
     if np.any(consumed <= 0):
         raise ValueError("consumed power must be positive to form the HPE ratio")
-    values = _harvested(ch, omegas, masks) / consumed
+    values = harvested_lanes(ch, omegas, masks) / consumed
     win = np.lexsort((indices, masks.sum(axis=1), -values))[0]
     alloc = AllocationState(omega=omegas[win], a=masks[win].astype(int),
                             a_tilde=masks[win])

@@ -90,6 +90,10 @@ class SweepSpec:
         """The config of one cell: ``cfg`` with this axis at ``value``."""
         if self.variable == "S":
             return replace(cfg, n_sub=int(value), seed=cfg.seed + rep)
+        if cfg.positions is not None:
+            # V counts generated clusters, so placed users would not change
+            raise ValueError("a V sweep needs cluster-generated users, but "
+                             "the scenario sets users.positions")
         return replace(cfg, clusters=replace(cfg.clusters, n_vr=int(value)),
                        seed=cfg.seed + rep)
 
@@ -286,12 +290,13 @@ def bench_timing(cfg, s_values=(6, 7, 8, 9, 10), outdir=None):
 
     The fitted exponent is the geometric per-sub-array growth factor from a
     least-squares line through log(time) vs S, so it needs at least two
-    distinct S values. Every S is checked before any is timed.
+    distinct S values, none repeated. Every S is checked before any is timed.
     """
     if len({int(s) for s in s_values}) < 2:
         raise ValueError("bench needs at least two distinct S values to fit "
                          "a growth factor")
-    cells = [replace(cfg, n_sub=int(s), methods=("PA-SA", "PA-ES")) for s in s_values]
+    spec = SweepSpec("S", tuple(s_values))
+    cells = [spec.cell(cfg, s, 0) for s in spec.values]
     if max(cell.n_sub for cell in cells) > cfg.es_cap:
         raise ValueError("bench times PA-ES, whose sub-array cap es_cap=%d is "
                          "below the largest S" % cfg.es_cap)

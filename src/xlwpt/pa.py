@@ -17,13 +17,14 @@ stacks PA-FA with PA-SA's first PA solve.
 
 A lane stack carries its feasible set, and callers pass a start as it
 is, or none for the uniform split: only the lane core projects a start.
-Every projection in it masks with ``Lanes.allowed``, a lane's active rows
-restricted to the users some active row reaches: ``Lanes.project`` for
-starts, DR candidates and polish trials, and the DR loop's consumption
-prox with the rows of its running lanes. A user no active sub-array
-reaches is thus given no power: the start projections zero its entries,
-and the operators keep them zero (its harvest matrix is 0, its
-consumption-prox input <= 0 and its polish gradient 0).
+Every loop retires its stopped lanes with ``Lanes.take``, and every
+projection goes through ``Lanes.project``, which masks with
+``Lanes.allowed``, a lane's active rows restricted to the users some
+active row reaches: starts, the DR loop's consumption prox, DR
+candidates and polish trials. A user no active sub-array reaches is thus
+given no power: the start projections zero its entries, and the
+operators keep them zero (its harvest matrix is 0, its consumption-prox
+input <= 0 and its polish gradient 0).
 """
 
 import time
@@ -31,14 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .power import (
-    AllocationState,
-    _consumed,
-    _harvested,
-    consumed_power,
-    harvested_power,
-    uniform_split,
-)
+from .power import consumed_lanes, harvested_lanes, uniform_split
 
 LAMBDA_SLACK = 1e-9          # relative tolerance on the Dinkelbach monotonicity check
 _SHRINK_EVERY = 10           # DR iterations between prox-step shrinks
@@ -142,12 +136,10 @@ def _consumption_parts(a_tilde, power_cfg, n_users, n_elements):
 
 def dinkelbach_phi(ch, omega, a_tilde, lam, power_cfg):
     """Transformed objective I(omega, a~) - lambda * P_c(omega, a~)."""
-    alloc = AllocationState(omega=omega, a=(np.asarray(a_tilde) > 0).astype(int),
-                            a_tilde=a_tilde)
-    harvested = harvested_power(ch, alloc, use_parameterized=True)
-    consumed = consumed_power(alloc, power_cfg, ch.n_users, ch.n_elements,
-                              use_parameterized=True)
-    return harvested - lam * consumed
+    omega, a_tilde = np.asarray(omega, dtype=float), np.asarray(a_tilde, dtype=float)
+    harvested = harvested_lanes(ch, omega, a_tilde)
+    consumed = consumed_lanes(omega, a_tilde, power_cfg, ch.n_users, ch.n_elements)
+    return float(harvested - lam * consumed)
 
 
 def project_feasible(omega_raw, p_sub, p_total, active):
@@ -175,15 +167,6 @@ def project_feasible(omega_raw, p_sub, p_total, active):
     return omega
 
 
-def _consumption_prox(z, step, slope, p_sub, p_total, active):
-    """``prox_consumption`` from its parts: ``step`` = gamma * lambda per lane,
-    P_c's per-entry ``slope`` and the feasible-set mask ``active``, which
-    the DR loop takes from its lanes once for its whole run.
-    """
-    shifted = z - np.asarray(step)[..., None, None] * slope
-    return project_feasible(shifted, p_sub, p_total, active)
-
-
 def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     """Prox of gamma * lambda * P_c plus the feasible-set indicator.
 
@@ -194,8 +177,9 @@ def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     a_tilde = np.asarray(a_tilde, dtype=float)
     z = np.asarray(z, dtype=float)
     slope, _ = _consumption_parts(a_tilde, power_cfg, z.shape[-1], n_elements)
-    return _consumption_prox(z, gamma * lam, slope, power_cfg.p_sub(n_elements),
-                             power_cfg.p_total(z.shape[-2], n_elements), a_tilde > 0)
+    shifted = z - np.asarray(gamma * lam)[..., None, None] * slope
+    return project_feasible(shifted, power_cfg.p_sub(n_elements),
+                            power_cfg.p_total(z.shape[-2], n_elements), a_tilde > 0)
 
 
 def _harvest_matrix(gamma, quad):
@@ -341,10 +325,9 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
     iters_out = np.empty(n, dtype=int)
     run = np.arange(n)
     z = start.copy()
-    slope, allowed = lanes.slope, lanes.allowed
     step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
-        x = _consumption_prox(z, step, slope, lanes.p_sub, lanes.p_total, allowed)
+        x = lanes.project(z - step[:, None, None] * lanes.slope)
         y = _harvest_prox(2.0 * x - z, lhs)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)
@@ -358,16 +341,16 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
             x_out[fin], residual_out[fin] = x[done], residual[done]
             iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
             keep = np.flatnonzero(~done)
-            run, x, y, z, residual, lam, gamma, step, slope, allowed, lhs = (
-                a[keep] for a in (run, x, y, z, residual, lam, gamma, step,
-                                  slope, allowed, lhs))
+            run, x, y, z, residual, lam, gamma, step, lhs = (
+                a[keep] for a in (run, x, y, z, residual, lam, gamma, step, lhs))
             if not len(run):
                 break
+            lanes = lanes.take(keep)
         z = z + (y - x)
         if (u + 1) % _SHRINK_EVERY == 0:
             gamma = gamma * _SHRINK
             z = x
-            step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad[run])
+            step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
     x_out[run], residual_out[run] = x, residual
     iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
     return x_out, residual_out, iters_out, gamma_out
@@ -450,8 +433,8 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
     omega = lanes.project(omega0)
 
     def evaluate(sub, om):
-        return (_harvested(ch, om, sub.a_tilde),
-                _consumed(om, sub.a_tilde, power_cfg, ch.n_users, ch.n_elements))
+        return (harvested_lanes(ch, om, sub.a_tilde),
+                consumed_lanes(om, sub.a_tilde, power_cfg, ch.n_users, ch.n_elements))
 
     harvested, consumed = evaluate(lanes, omega)
     lam = (np.full(n, pa_cfg.lambda0, dtype=float) if pa_cfg.lambda0 is not None

@@ -1,6 +1,10 @@
-"""Harvested RF power, consumed system power and the HPE ratio."""
+"""Harvested RF power, consumed system power and the HPE ratio.
 
-from dataclasses import dataclass, field
+The ``*_lanes`` kernels weight sub-arrays by any activations, binary or
+parameterized; the ``AllocationState`` functions score its binary ones.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,31 +84,34 @@ class AllocationState:
         if total > power_cfg.p_total(len(self.a), n_elements) + FEASIBILITY_TOL:
             raise ValueError("total power constraint violated")
 
-    def weights(self, use_parameterized):
-        return self.a_tilde if use_parameterized else self.a.astype(float)
-
 
 def uniform_split(ch, power_cfg):
     """Every sub-array's budget P_s shared equally by the users, (S, M)."""
     return np.full((ch.n_sub, ch.n_users), power_cfg.p_sub(ch.n_elements) / ch.n_users)
 
 
-def _coherent_user_sums(ch, omega, weights):
-    """Complex coherent sums T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*.
+def _received(ch, omega, weights):
+    """Harvested power at each receiving user k of each lane [W].
 
+    Beams add by power over the coherent sums
+    T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*.
     Leading axes of ``omega`` (..., S, M) and ``weights`` (..., S) are lanes.
     """
     coef = weights[..., None] * ch.kappa * np.sqrt(np.maximum(omega, 0.0))
-    return np.einsum("...sm,skm->...km", coef, ch.gram)
+    t = np.einsum("...sm,skm->...km", coef, ch.gram)
+    return np.sum(np.abs(t) ** 2, axis=-1)
 
 
-def _harvested(ch, omega, weights):
-    """Harvested power of each lane of an allocation stack [W]."""
-    t = _coherent_user_sums(ch, omega, weights)
-    return np.sum(np.sum(np.abs(t) ** 2, axis=-1), axis=-1)
+def harvested_lanes(ch, omega, weights):
+    """Harvested power of each lane of an allocation stack [W].
+
+    Uses the coherent inner-sum form (O(S M^2)); the expanded double-sum over
+    sub-array pairs is algebraically identical and serves as a test oracle.
+    """
+    return np.sum(_received(ch, omega, weights), axis=-1)
 
 
-def _consumed(omega, weights, power_cfg, n_users, n_elements):
+def consumed_lanes(omega, weights, power_cfg, n_users, n_elements):
     """Consumed power of each lane of an allocation stack [W]."""
     row = omega.sum(axis=-1)
     bracket = row / power_cfg.varsigma + 2.0 * power_cfg.p_syn + n_elements * power_cfg.p_ct
@@ -115,34 +122,28 @@ def _consumed(omega, weights, power_cfg, n_users, n_elements):
 
 def received_power_per_user(ch, alloc):
     """Harvested RF power at each receiving user [W]."""
-    t = _coherent_user_sums(ch, alloc.omega, alloc.a)
-    return np.sum(np.abs(t) ** 2, axis=1)
+    return _received(ch, alloc.omega, alloc.a)
 
 
-def harvested_power(ch, alloc, use_parameterized=False):
-    """Total RF power collected by all users for the given allocation [W].
-
-    Uses the coherent inner-sum form (O(S M^2)); the expanded double-sum over
-    sub-array pairs is algebraically identical and serves as a test oracle.
-    """
+def harvested_power(ch, alloc):
+    """Total RF power collected by all users for the given allocation [W]."""
     if alloc.omega.shape != (ch.n_sub, ch.n_users):
         raise ValueError("allocation dimensions do not match the channel set")
-    return float(_harvested(ch, alloc.omega, alloc.weights(use_parameterized)))
+    return float(harvested_lanes(ch, alloc.omega, alloc.a.astype(float)))
 
 
-def consumed_power(alloc, power_cfg, n_users, n_elements, use_parameterized=False):
+def consumed_power(alloc, power_cfg, n_users, n_elements):
     """Total power drawn by the system for the given allocation [W]."""
-    return float(_consumed(alloc.omega, alloc.weights(use_parameterized), power_cfg,
-                           n_users, n_elements))
+    return float(consumed_lanes(alloc.omega, alloc.a.astype(float), power_cfg,
+                                n_users, n_elements))
 
 
-def hpe(ch, alloc, power_cfg, use_parameterized=False):
+def hpe(ch, alloc, power_cfg):
     """Harvested-power efficiency: harvested over consumed power."""
-    pc = consumed_power(alloc, power_cfg, ch.n_users, ch.n_elements,
-                        use_parameterized)
+    pc = consumed_power(alloc, power_cfg, ch.n_users, ch.n_elements)
     if pc <= 0:
         raise ValueError("consumed power must be positive to form the HPE ratio")
-    return harvested_power(ch, alloc, use_parameterized) / pc
+    return harvested_power(ch, alloc) / pc
 
 
 def power_map(geom, alloc, ch, probes, amplitude_model="center"):

@@ -427,6 +427,15 @@ class TestBenchTiming:
             bench_timing(small_cfg(), s_values=(4, 13))
         assert calls == []
 
+    def test_repeated_s_value_rejected_before_timing(self, monkeypatch):
+        # a repeat would be timed twice and weigh double in the growth fit
+        calls = []
+        for name in ("pa_sa", "pa_es"):
+            monkeypatch.setattr(baselines, name, lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="distinct, got 2,2,3"):
+            bench_timing(small_cfg(), s_values=(2, 2, 3))
+        assert calls == []
+
 
 class TestCLI:
     def write_cfg(self, tmp_path):
@@ -589,6 +598,40 @@ class TestCLI:
         assert code == 2
         assert "two distinct" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bench_repeated_value_exit_code(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("pa_sa", "pa_es"):
+            monkeypatch.setattr(baselines, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "bench"
+        code = main(["bench", self.write_cfg(tmp_path), "--values", "2,2,3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_v_sweep_over_placed_users_rejected_before_solving(self, tmp_path,
+                                                               monkeypatch, capsys):
+        # V sets the generated cluster count: placed users would run unchanged
+        # in every cell under different V labels
+        calls = []
+        monkeypatch.setattr(bench, "run_methods", lambda *a, **k: calls.append(a))
+        path = tmp_path / "placed.json"
+        path.write_text(json.dumps({
+            "geometry": {"S": 2, "Nx": 8, "Ny": 2},
+            "users": {"positions": [[0.1, 0.0, 0.6, 1], [-0.1, 0.0, 0.7, 2]]},
+            "methods": ["EA-FA"]}))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--var", "V", "--values", "1,2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "users.positions" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+        # an S sweep over the same users stays valid
+        spec = SweepSpec(variable="S", values=(2, 3))
+        assert spec.cell(scenario_from_dict(json.loads(path.read_text())), 3, 0).n_sub == 3
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -22,7 +22,13 @@ from xlwpt.pa import (
     prox_neg_harvest,
     quadratic_sup,
 )
-from xlwpt.power import AllocationState, PowerConfig, consumed_power, harvested_power, hpe
+from xlwpt.power import (
+    AllocationState,
+    PowerConfig,
+    consumed_lanes,
+    harvested_lanes,
+    harvested_power,
+)
 from xlwpt.scenario import ScenarioConfig
 
 
@@ -288,8 +294,7 @@ class TestQuadraticForm:
         quad = build_quadratic(ch, a_tilde)
         q = np.sqrt(omega)
         val = float(np.einsum("sm,mst,tm->", q, quad, q))
-        alloc = AllocationState(omega=omega, a=np.ones(3, int), a_tilde=a_tilde)
-        assert val == pytest.approx(harvested_power(ch, alloc, True), rel=1e-10)
+        assert val == pytest.approx(harvested_lanes(ch, omega, a_tilde), rel=1e-10)
 
     def test_matrices_symmetric_psd(self):
         _, ch = make_channels(n_sub=3, n_users=2, seed=5)
@@ -327,9 +332,12 @@ class TestDinkelbachPhi:
         omega = rng.uniform(0, 0.2, size=(2, 2))
         a_tilde = np.array([1.0, 0.6])
         cfg = PowerConfig()
-        alloc = AllocationState(omega=omega.copy(), a=[1, 1], a_tilde=a_tilde)
-        want = (harvested_power(ch, alloc, True)
-                - 0.003 * consumed_power(alloc, cfg, 2, ch.n_elements, True))
+        # the harvest as its quadratic form in q = sqrt(omega), P_c written out
+        q = np.sqrt(omega)
+        harvest = np.einsum("sm,mst,tm->", q, build_quadratic(ch, a_tilde), q)
+        consumed = (a_tilde @ (omega.sum(axis=1) / cfg.varsigma + 2 * cfg.p_syn
+                               + ch.n_elements * cfg.p_ct) + 2 * cfg.p_cr)
+        want = harvest - 0.003 * consumed
         assert dinkelbach_phi(ch, omega, a_tilde, 0.003, cfg) == pytest.approx(
             want, rel=1e-12)
 
@@ -339,7 +347,7 @@ class TestDinkelbachPhi:
         a_tilde = np.ones(2)
         alloc = AllocationState(omega=omega.copy(), a=[1, 1], a_tilde=a_tilde)
         assert dinkelbach_phi(ch, omega, a_tilde, 0.0, PowerConfig()) == \
-            pytest.approx(harvested_power(ch, alloc, True))
+            pytest.approx(harvested_power(ch, alloc))
 
 
 class TestProxConsumption:
@@ -579,8 +587,9 @@ class TestPASolve:
         alloc = AllocationState(omega=omega, a=(a_tilde > 0).astype(int),
                                 a_tilde=a_tilde)
         alloc.validate(cfg, ch.n_elements)
-        assert trace.lambda_trace[-1] == pytest.approx(
-            hpe(ch, alloc, cfg, use_parameterized=True), rel=1e-9)
+        value = (harvested_lanes(ch, omega, a_tilde)
+                 / consumed_lanes(omega, a_tilde, cfg, ch.n_users, ch.n_elements))
+        assert trace.lambda_trace[-1] == pytest.approx(value, rel=1e-9)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

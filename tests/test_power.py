@@ -20,7 +20,9 @@ from xlwpt.geometry import (
 from xlwpt.power import (
     AllocationState,
     PowerConfig,
+    consumed_lanes,
     consumed_power,
+    harvested_lanes,
     harvested_power,
     hpe,
     power_map,
@@ -80,7 +82,7 @@ class TestHarvestedPower:
         rng = np.random.default_rng(100 + seed)
         cfg = PowerConfig()
         alloc = random_allocation(ch, cfg, rng, binary=False)
-        got = harvested_power(ch, alloc, use_parameterized=True)
+        got = harvested_lanes(ch, alloc.omega, alloc.a_tilde)
         want = harvested_power_oracle(ch, alloc.omega, alloc.a_tilde)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -89,7 +91,7 @@ class TestHarvestedPower:
         rng = np.random.default_rng(7)
         cfg = PowerConfig()
         alloc = random_allocation(ch, cfg, rng, binary=True)
-        got = harvested_power(ch, alloc, use_parameterized=False)
+        got = harvested_power(ch, alloc)
         want = harvested_power_oracle(ch, alloc.omega, alloc.a.astype(float))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -177,8 +179,8 @@ class TestConsumedPower:
                                 a_tilde=[0.5, 0.25])
         bracket = 0.3 / 0.35 + 2 * 0.05 + 8 * 0.0482
         want = (0.5 + 0.25) * bracket + 0.0625
-        got = consumed_power(alloc, cfg, n_users=1, n_elements=8,
-                             use_parameterized=True)
+        got = consumed_lanes(alloc.omega, alloc.a_tilde, cfg, n_users=1,
+                             n_elements=8)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_affine_in_row_power(self):

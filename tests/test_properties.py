@@ -1,5 +1,5 @@
-"""Property-based invariants of the feasibility projection, the harvest prox
-and the joint activation/allocation loop."""
+"""Property-based invariants of the feasibility projection, both proxes,
+the harvest lane kernel and the joint activation/allocation loop."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from xlwpt.pa import PAConfig, project_feasible, prox_neg_harvest  # noqa: E402
-from xlwpt.power import PowerConfig  # noqa: E402
+from test_power import harvested_power_oracle, small_channel_set  # noqa: E402
+from xlwpt.pa import (  # noqa: E402
+    PAConfig,
+    project_feasible,
+    prox_consumption,
+    prox_neg_harvest,
+)
+from xlwpt.power import PowerConfig, harvested_lanes  # noqa: E402
 from xlwpt.sa import HPE_MONOTONE_SLACK, SAConfig, joint_solve  # noqa: E402
 from xlwpt.scenario import ClusterSpec, ScenarioConfig  # noqa: E402
 
@@ -79,6 +85,63 @@ def test_harvest_prox_solves_its_system(stack):
     want = np.swapaxes(np.sqrt(v), -1, -2)
     err = np.linalg.norm(got - want, axis=-1)
     assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=-1))
+
+
+@st.composite
+def consumption_stacks(draw):
+    """A lane stack of prox inputs: z, per-lane lambda and gamma, activations
+    in [0, 1] with some rows off, and feasible points drawn row by row."""
+    n_lanes = draw(st.integers(1, 4))
+    n_sub = draw(st.integers(1, 5))
+    n_users = draw(st.integers(1, 4))
+    n_elements = draw(st.integers(1, 16))
+    z = draw(arrays(np.float64, (n_lanes, n_sub, n_users),
+                    elements=st.floats(-1.0, 1.0)))
+    lam = draw(arrays(np.float64, (n_lanes,), elements=st.floats(0.0, 0.5)))
+    gamma = draw(arrays(np.float64, (n_lanes,), elements=st.floats(0.0, 5.0)))
+    a_tilde = draw(arrays(np.float64, (n_lanes, n_sub), elements=st.sampled_from(
+        [0.0, 0.1, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+    # feasible points: active rows only, each row scaled within P_s
+    shares = draw(arrays(np.float64, (8, n_lanes, n_sub, n_users),
+                         elements=st.floats(0.0, 1.0)))
+    fill = draw(arrays(np.float64, (8, n_lanes, n_sub, 1), elements=st.floats(0.0, 1.0)))
+    p_sub = PowerConfig().p_sub(n_elements)
+    row = shares.sum(axis=-1, keepdims=True)
+    omega = np.where(row > 0, shares / np.where(row > 0, row, 1.0), 0.0) * fill * p_sub
+    omega = omega * (a_tilde > 0)[..., None]
+    return z, lam, gamma, a_tilde, n_elements, omega
+
+
+@settings(max_examples=80, deadline=None)
+@given(consumption_stacks())
+def test_consumption_prox_meets_its_optimality_condition(stack):
+    # p = prox(z) iff <z - gamma lam slope - p, omega - p> <= 0 for every
+    # feasible omega: p is the projection of the shifted point
+    z, lam, gamma, a_tilde, n_elements, omega = stack
+    cfg = PowerConfig()
+    p = prox_consumption(z, lam, gamma, cfg, a_tilde, n_elements)
+    shifted = z - (gamma * lam)[:, None, None] * (a_tilde / cfg.varsigma)[..., None]
+    assert np.all(p >= 0.0) and np.all(p[a_tilde == 0] == 0.0)
+    assert np.all(p.sum(axis=-1) <= cfg.p_sub(n_elements) * (1 + 1e-12))
+    inner = np.sum((shifted - p) * (omega - p), axis=(-2, -1))
+    scale = 1.0 + np.abs(shifted).sum(axis=(-2, -1)) * cfg.p_sub(n_elements)
+    assert np.all(inner <= 1e-12 * scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n_sub=st.integers(1, 4), n_users=st.integers(1, 3),
+       n_lanes=st.integers(1, 3), data=st.data())
+def test_harvest_kernel_equals_pair_sum_expansion(seed, n_sub, n_users, n_lanes, data):
+    _, ch = small_channel_set(n_sub=n_sub, n_users=n_users, seed=seed)
+    omega = data.draw(arrays(np.float64, (n_lanes, n_sub, n_users),
+                             elements=st.floats(0.0, 0.4)))
+    weights = data.draw(arrays(np.float64, (n_lanes, n_sub),
+                               elements=st.floats(0.0, 1.0)))
+    got = harvested_lanes(ch, omega, weights)
+    assert got.shape == (n_lanes,)
+    for lane in range(n_lanes):
+        want = harvested_power_oracle(ch, omega[lane], weights[lane])
+        assert got[lane] == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 @settings(max_examples=12, deadline=None)
