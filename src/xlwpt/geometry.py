@@ -194,6 +194,18 @@ def channel(geom, s, user, amplitude_model="center"):
     return amp * np.sqrt(gain) * phase
 
 
+def as_points(points):
+    """Points as a (P, 3) float array; a (..., 3) stack is flattened.
+
+    Raises ValueError unless the last axis holds (x, y, z), so an (N, 2)
+    array is never read as other, 3-D points.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != 3:
+        raise ValueError("points must have shape (..., 3), got %s" % (pts.shape,))
+    return pts.reshape(-1, 3)
+
+
 def channels(geom, points, amplitude_model="center"):
     """Near-field channels from all S sub-arrays to P points, shape (P, S, Ns).
 
@@ -207,7 +219,7 @@ def channels(geom, points, amplitude_model="center"):
     """
     if amplitude_model not in AMPLITUDE_MODELS:
         raise ValueError("unknown amplitude model %r" % amplitude_model)
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = as_points(points)
     if np.any(pts[:, 2] <= 0):
         raise ValueError("user must be in front of the array plane")
     origins = np.array(geom.sub_array_origins)

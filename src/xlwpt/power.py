@@ -4,11 +4,13 @@ The ``*_lanes`` kernels weight sub-arrays by any activations, binary or
 parameterized; the ``AllocationState`` functions score its binary ones.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import channels
+from .geometry import as_points, channels
 
 FEASIBILITY_TOL = 1e-9
 # complex channel entries (probes x S x Ns) synthesized per power-map chunk;
@@ -146,24 +148,53 @@ def hpe(ch, alloc, power_cfg):
     return harvested_power(ch, alloc) / pc
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def power_map(geom, alloc, ch, probes, amplitude_model="center"):
     """Harvested power a virtual probe user would collect at each location.
 
     The precoders and power coefficients stay fixed at the values designed
     for the real users; only the receive channel is re-synthesized per probe.
+    The probe chunks split into contiguous blocks, one per CPU this process
+    may run on: the caller fills the first block and one helper thread fills
+    each other one. NumPy releases the GIL inside the chunks' large
+    elementwise loops, and a chunk's arithmetic does not depend on the
+    thread that runs it, so every value has the same bits on any CPU count.
     """
     coef = alloc.a[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
     g_conj = np.conj(ch.g)
-    pts = np.asarray(probes, dtype=float).reshape(-1, 3)
+    pts = as_points(probes)
     values = np.zeros(len(pts))
     # probes behind the array plane lie outside the element pattern support
     behind = pts[:, 2] <= 0
     front = np.flatnonzero(~behind)
     step = max(1, _MAP_CHUNK_ENTRIES // (geom.n_sub * geom.n_elements))
-    for start in range(0, len(front), step):
-        idx = front[start:start + step]
-        gq = channels(geom, pts[idx], amplitude_model)
-        cross = np.einsum("psi,smi->psm", gq, g_conj)
-        t = np.sum(coef * cross, axis=1)
-        values[idx] = np.sum(np.abs(t) ** 2, axis=1)
+    starts = range(0, len(front), step)
+
+    def fill(block):
+        # blocks are disjoint, so no two threads write the same entry of values
+        for start in block:
+            idx = front[start:start + step]
+            gq = channels(geom, pts[idx], amplitude_model)
+            cross = np.einsum("psi,smi->psm", gq, g_conj)
+            t = np.sum(coef * cross, axis=1)
+            values[idx] = np.sum(np.abs(t) ** 2, axis=1)
+
+    n = len(starts)
+    workers = min(_cpu_count(), n)
+    blocks = [starts[n * i // workers:n * (i + 1) // workers] for i in range(workers)]
+    # the executor starts a thread per submitted block only, so a map of one
+    # chunk, or a process on one CPU, runs on the calling thread alone; on
+    # leaving the with block every helper has finished
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        futures = [pool.submit(fill, block) for block in blocks[1:]]
+        for block in blocks[:1]:
+            fill(block)
+        for future in futures:
+            future.result()
     return values

@@ -217,6 +217,19 @@ class TestChannelsKernel:
         with pytest.raises(ValueError, match="amplitude model"):
             channels(single_element_geometry(), [(0.0, 0.0, 1.0)], "flat")
 
+    def test_points_without_three_coordinates_rejected(self):
+        # three (x, z) pairs must not be read as two (x, y, z) points
+        xz = [(0.0, 1.0), (0.2, 0.8), (-0.3, 1.2)]
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\)"):
+            channels(paper_geometry(2), xz)
+
+    def test_point_stack_flattened(self):
+        geom, points = custom_origins_case()
+        stack = np.array([points, points])
+        got = channels(geom, stack)
+        assert got.shape == (2 * len(points), geom.n_sub, geom.n_elements)
+        assert got.tobytes() == channels(geom, stack.reshape(-1, 3)).tobytes()
+
 
 class TestChannelSet:
     def test_single_pair_kappa(self):

@@ -1,11 +1,16 @@
-"""Module-layout rules of the package, checked on its source with ``ast``.
+"""Module-layout rules of the package.
 
-Every import sits at module level, and no module reaches into another
-xlwpt module for a ``_private`` name, by import or by attribute.
+Checked on its source with ``ast``: every import sits at module level, and
+no module reaches into another xlwpt module for a ``_private`` name, by
+import or by attribute. Checked in a fresh interpreter: importing the
+package starts no thread.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +33,15 @@ def xlwpt_module(node):
 
 def test_modules_found():
     assert {"pa.py", "power.py", "baselines.py"} <= {p.name for p in MODULES}
+
+
+def test_import_starts_no_thread():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import xlwpt, threading; print(threading.active_count())"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=60, check=True)
+    assert proc.stdout.strip() == "1"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

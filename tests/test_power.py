@@ -5,6 +5,9 @@ oracle here expands the full quadruple sum over (user, sub-array pair,
 target-user pair) with explicit element-level inner products.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,23 @@ class TestPowerMap:
         vals = power_map(geom, alloc, ch, probes)
         assert np.all(vals >= 0.0)
 
+    def test_probes_without_three_coordinates_rejected(self):
+        # three (x, z) probes must not be read as two (x, y, z) probes
+        geom, ch = small_channel_set()
+        alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(6))
+        xz = [(0.0, 1.0), (0.2, 0.8), (-0.3, 1.2)]
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\)"):
+            power_map(geom, alloc, ch, xz)
+
+    def test_probe_grid_flattened(self):
+        geom, ch = small_channel_set()
+        alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(6))
+        grid = np.array([[(x, 0.0, z) for x in (-0.5, 0.0, 0.5)]
+                         for z in (-0.2, 0.4, 1.1)])
+        got = power_map(geom, alloc, ch, grid)
+        assert got.shape == (9,)
+        assert got.tobytes() == power_map(geom, alloc, ch, grid.reshape(-1, 3)).tobytes()
+
 
 def power_map_oracle(geom, alloc, ch, probes, amplitude_model):
     """Per-probe loop over scalar channel() calls and element inner products."""
@@ -328,6 +348,56 @@ class TestPowerMapChunks:
         probes[self.step + 1] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
         with pytest.raises(ValueError, match="degenerate"):
             power_map(self.geom, self.alloc, self.ch, probes)
+
+    def report_cpus(self, monkeypatch, n):
+        """Make power_map see n CPUs, so it shares its chunks among n workers."""
+        monkeypatch.setattr(power.os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+    def one_chunk_maps(self, probes, model):
+        """The raster as one power_map call per chunk, each on its caller alone."""
+        return np.concatenate([
+            power_map(self.geom, self.alloc, self.ch, probes[i:i + self.step],
+                      amplitude_model=model)
+            for i in range(0, len(probes), self.step)])
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    def test_shared_chunks_equal_one_chunk_calls(self, monkeypatch, model):
+        # 5 chunks over 3 workers: the caller fills 1 chunk, each helper 2
+        self.report_cpus(monkeypatch, 3)
+        probes = self.probes(4 * self.step + 5, seed=1)
+        got = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
+        assert got.tobytes() == self.one_chunk_maps(probes, model).tobytes()
+
+    @pytest.mark.parametrize("chunk", [0, 2], ids=["caller", "helper"])
+    def test_degenerate_probe_raises_after_helpers_finish(self, monkeypatch, chunk):
+        # 3 chunks over 3 workers: chunk 0 is the caller's, chunk 2 a helper's
+        self.report_cpus(monkeypatch, 3)
+        probes = self.probes(3 * self.step, seed=2)
+        elem = element_positions(self.geom, 1)[5]
+        probes[chunk * self.step + 4] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="degenerate"):
+            power_map(self.geom, self.alloc, self.ch, probes)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_on_a_short_switch_interval(self, monkeypatch):
+        # 9 chunks over 8 workers, switching threads as often as possible
+        self.report_cpus(monkeypatch, 8)
+        probes = self.probes(8 * self.step + 3, seed=3)
+        want = self.one_chunk_maps(probes, "center")
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: got.append(
+                power_map(self.geom, self.alloc, self.ch, probes)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(got) == 1 and got[0].tobytes() == want.tobytes()
 
 
 class TestPowerConfig:

@@ -128,6 +128,32 @@ def test_consumption_prox_meets_its_optimality_condition(stack):
     assert np.all(inner <= 1e-12 * scale)
 
 
+@settings(max_examples=80, deadline=None)
+@given(consumption_stacks())
+def test_projection_meets_its_kkt_conditions(stack):
+    # with P_t = S * P_s, the only total budget the program uses, the rows
+    # decouple: p = proj(v) iff <v - p, omega - p> <= 0 for every feasible
+    # omega, and each row over its budget is max(v - tau, 0) for one
+    # tau >= 0 and sums to P_s
+    v, _, _, a_tilde, n_elements, omega = stack
+    active = a_tilde > 0
+    p_sub = PowerConfig().p_sub(n_elements)
+    p = project_feasible(v, p_sub, v.shape[-2] * p_sub, active)
+    scale = 1.0 + np.abs(v).sum(axis=(-2, -1)) * p_sub
+    inner = np.sum((v - p) * (omega - p), axis=(-2, -1))
+    assert np.all(inner <= 1e-12 * scale)
+
+    tol = 1e-12 * (1.0 + np.abs(v).max(initial=0.0))
+    over = active & (np.maximum(v, 0.0).sum(axis=-1) > p_sub)
+    for vr, pr in zip(v[over], p[over]):
+        assert abs(pr.sum() - p_sub) <= 1e-12 * p_sub
+        kept = pr > 0
+        tau = np.max(vr[kept] - pr[kept])
+        assert tau >= -tol
+        np.testing.assert_allclose(vr[kept] - pr[kept], tau, rtol=0, atol=tol)
+        assert np.all(vr[~kept] <= tau + tol)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), n_sub=st.integers(1, 4), n_users=st.integers(1, 3),
        n_lanes=st.integers(1, 3), data=st.data())
