@@ -3,7 +3,8 @@
 EA-FA: equal allocation, all modules on (the baseline).
 PA-FA: optimized power, all modules on.
 PA-SA: the proposed joint activation + power optimization.
-PA-ES: exhaustive search over module subsets (the optimum, exponential cost).
+PA-ES: exhaustive search over module subsets (exponential cost); its subset
+       solves are not certified optimal, so it can miss the optimum.
 """
 
 from xlwpt.bench import run_methods

@@ -234,8 +234,9 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
 
     ``fixed_coord`` places the plane on its third axis: by default y = 0
     for xz, x = 0 for yz, and the users' mean depth z for xy, which must
-    lie in front of the array (z > 0). The default xy extent is a square
-    centred on boresight that holds the array's width and every user.
+    lie in front of the array (z > 0). Each default extent holds the
+    array's width and every user: a square about boresight for xy, and for
+    xz/yz a depth of twice the cluster range or farthest user, at least 1 m.
     ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
     """
     if resolution < 1:
@@ -249,15 +250,17 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
     if ch is None:
         ch = cfg.channel_set()
     half = geom.n_sub * geom.nx * geom.d / 2.0
+    users = cfg.users()
     if plane == "xy":
-        users = cfg.users()
         if fixed_coord is None:
             fixed_coord = np.mean([p.z for p in users])
         if extent is None:
             half = max([half] + [max(abs(p.x), abs(p.y)) for p in users])
             extent = (-half, half, -half, half)
-    if extent is None:
-        extent = (-half, half, 0.05, max(2.0 * cfg.clusters.range_m, 1.0))
+    elif extent is None:
+        half = max([half] + [abs(p.x if plane == "xz" else p.y) for p in users])
+        depth = max([2.0 * cfg.clusters.range_m, 1.0] + [2.0 * p.z for p in users])
+        extent = (-half, half, 0.05, depth)
     u = np.linspace(extent[0], extent[1], resolution)
     v = np.linspace(extent[2], extent[3], resolution)
     # rows run over v, and over u within each row

@@ -142,12 +142,13 @@ def dinkelbach_phi(ch, omega, a_tilde, lam, power_cfg):
     return float(harvested - lam * consumed)
 
 
-def project_feasible(omega_raw, p_sub, p_total, active):
+def project_feasible(omega_raw, p_sub, active):
     """Project onto the PA feasible set; leading axes are lanes.
 
-    Clamps negatives, zeroes inactive rows, projects every overweight row
-    onto its capped simplex with the sort-based rule (Duchi et al. 2008),
-    then rescales a lane's rows if its total budget still binds.
+    Clamps negatives, zeroes inactive rows and projects every overweight
+    row onto its capped simplex with the sort-based rule (Duchi et al.
+    2008). No total budget is needed: P_t = S * P_s, so the row caps imply
+    it for any activation; ``AllocationState.validate`` still checks it.
     """
     active = np.asarray(active, dtype=bool)
     omega = np.maximum(np.asarray(omega_raw, dtype=float), 0.0)
@@ -160,10 +161,6 @@ def project_feasible(omega_raw, p_sub, p_total, active):
         # the last k with u_k > tau_k keeps coordinate k active
         k = v.shape[-1] - 1 - np.argmax((tau < u)[:, ::-1], axis=-1)
         omega[over] = np.maximum(v - tau[np.arange(len(v)), k][:, None], 0.0)
-    total = omega.sum(axis=(-2, -1), keepdims=True)
-    binds = total > p_total
-    if binds.any():
-        omega *= np.where(binds, p_total / np.maximum(total, p_total), 1.0)
     return omega
 
 
@@ -178,8 +175,7 @@ def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
     z = np.asarray(z, dtype=float)
     slope, _ = _consumption_parts(a_tilde, power_cfg, z.shape[-1], n_elements)
     shifted = z - np.asarray(gamma * lam)[..., None, None] * slope
-    return project_feasible(shifted, power_cfg.p_sub(n_elements),
-                            power_cfg.p_total(z.shape[-2], n_elements), a_tilde > 0)
+    return project_feasible(shifted, power_cfg.p_sub(n_elements), a_tilde > 0)
 
 
 def _harvest_matrix(gamma, quad):
@@ -221,7 +217,6 @@ class Lanes:
     slope: np.ndarray        # (B, S, 1) transmit slope of P_c
     fixed: np.ndarray        # (B,) circuit power of P_c
     p_sub: float             # per-sub-array budget P_s, shared by all lanes
-    p_total: float           # total budget P_t, shared by all lanes
 
     @classmethod
     def build(cls, ch, a_tilde, power_cfg):
@@ -236,8 +231,7 @@ class Lanes:
         reached = (a_tilde[:, :, None] * ch.norms).max(axis=1) > 0.0
         allowed = (a_tilde > 0)[:, :, None] & reached[:, None, :]
         return cls(a_tilde, allowed, quad, quadratic_sup(quad), slope, fixed,
-                   power_cfg.p_sub(ch.n_elements),
-                   power_cfg.p_total(ch.n_sub, ch.n_elements))
+                   power_cfg.p_sub(ch.n_elements))
 
     def take(self, idx):
         """The lanes at ``idx``.
@@ -250,11 +244,11 @@ class Lanes:
         """
         quad = np.moveaxis(np.moveaxis(self.quad, 1, -1)[idx], -1, 1)
         return Lanes(self.a_tilde[idx], self.allowed[idx], quad, self.lam_max[idx],
-                     self.slope[idx], self.fixed[idx], self.p_sub, self.p_total)
+                     self.slope[idx], self.fixed[idx], self.p_sub)
 
     def project(self, omega):
         """``omega`` (B, S, M) projected onto each lane's feasible set."""
-        return project_feasible(omega, self.p_sub, self.p_total, self.allowed)
+        return project_feasible(omega, self.p_sub, self.allowed)
 
 
 def _polish(lanes, lane_of, lam, seeds):

@@ -19,7 +19,7 @@ from xlwpt.bench import (
 from xlwpt.cli import main
 from xlwpt.geometry import ChannelSet
 from xlwpt.pa import SolverFault
-from xlwpt.power import received_power_per_user
+from xlwpt.power import AllocationState, received_power_per_user, uniform_split
 from xlwpt.sa import SAConfig, SolveReport
 from xlwpt.scenario import ScenarioConfig, ClusterSpec, scenario_from_dict
 
@@ -372,6 +372,24 @@ class TestPowerMap:
                              path=str(tmp_path / "m.csv"), fixed_coord=u.y)
         want = received_power_per_user(cfg.channel_set(), alloc)[0]
         assert grid[0, 0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("plane", ["xz", "yz"])
+    def test_default_extent_holds_placed_users(self, tmp_path, plane):
+        # users far beyond twice the cluster range and off the array's width
+        cfg = small_cfg(positions=((2.5, 1.0, 4.0, 1), (-0.2, -1.5, 5.0, 1)))
+        ch = cfg.channel_set()
+        alloc = AllocationState(uniform_split(ch, cfg.power), a=np.ones(3),
+                                a_tilde=np.ones(3))
+        path = tmp_path / "m.csv"
+        grid = emit_powermap(cfg, alloc, plane=plane, resolution=5, path=str(path),
+                             ch=ch)
+        assert grid.shape == (5, 5)
+        with open(path) as f:
+            rows = np.array([[float(c) for c in r] for r in list(csv.reader(f))[1:]])
+        users = cfg.users()
+        lateral = [u.x if plane == "xz" else u.y for u in users]
+        assert rows[:, 0].min() <= min(lateral) and rows[:, 0].max() >= max(lateral)
+        assert rows[:, 1].max() >= 2.0 * max(u.z for u in users)
 
     def test_bad_plane(self, tmp_path):
         cfg = small_cfg(methods=("PA-SA",))

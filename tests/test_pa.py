@@ -65,31 +65,24 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         v = rng.normal(0.5, 1.0, size=(1, 5))
         cap = rng.uniform(0.2, 2.0)
-        got = project_feasible(v, cap, 10 * cap, np.array([True]))
+        got = project_feasible(v, cap, np.array([True]))
         want = capped_simplex_oracle(v[0], cap)
         np.testing.assert_allclose(got[0], want, atol=1e-9)
 
     def test_feasible_point_unchanged(self):
         v = np.array([[0.1, 0.2], [0.0, 0.3]])
-        got = project_feasible(v, 0.5, 1.0, np.array([True, True]))
+        got = project_feasible(v, 0.5, np.array([True, True]))
         np.testing.assert_allclose(got, v)
 
     def test_inactive_rows_zeroed(self):
         v = np.full((2, 2), 0.1)
-        got = project_feasible(v, 0.5, 1.0, np.array([True, False]))
+        got = project_feasible(v, 0.5, np.array([True, False]))
         assert np.all(got[1] == 0.0)
         np.testing.assert_allclose(got[0], v[0])
 
     def test_negative_entries_clamped(self):
-        got = project_feasible(np.array([[-0.4, 0.1]]), 1.0, 1.0,
-                               np.array([True]))
+        got = project_feasible(np.array([[-0.4, 0.1]]), 1.0, np.array([True]))
         np.testing.assert_allclose(got, [[0.0, 0.1]])
-
-    def test_total_budget_enforced(self):
-        v = np.full((3, 1), 0.4)
-        got = project_feasible(v, 0.5, 0.6, np.ones(3, bool))
-        assert got.sum() <= 0.6 + 1e-12
-        assert np.all(got >= 0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_always_feasible(self, seed):
@@ -97,42 +90,38 @@ class TestProjection:
         v = rng.normal(0, 1, size=(4, 3))
         active = rng.integers(0, 2, 4).astype(bool)
         active[0] = True
-        got = project_feasible(v, 0.3, 0.8, active)
+        got = project_feasible(v, 0.3, active)
         assert np.all(got >= 0)
         assert np.all(got.sum(axis=1) <= 0.3 + 1e-12)
-        assert got.sum() <= 0.8 + 1e-12
+        assert got.sum() <= len(v) * 0.3 * (1 + 1e-12)
         assert np.all(got[~active] == 0.0)
 
 
 class TestLaneProjection:
     """A lane stack projects exactly as its lanes do one call at a time."""
 
-    P_SUB, P_TOTAL = 0.5, 1.2
+    P_SUB = 0.5
 
     def stack(self):
         rng = np.random.default_rng(7)
         v = rng.normal(0.3, 0.6, size=(6, 4, 3))
         v[1] *= 5.0        # several overweight rows
-        v[2] += 1.0        # every row overweight, so the total budget binds
+        v[2] += 1.0        # every row overweight
         active = rng.random((6, 4)) < 0.7
         active[:, 0] = True
         return v, active
 
     def test_stack_matches_per_lane_calls(self):
         v, active = self.stack()
-        # the stack covers inactive rows, lanes with several overweight rows,
-        # and lanes whose total budget binds after the row caps or does not
+        # the stack covers inactive rows and lanes with several overweight rows
         row = (np.maximum(v, 0.0) * active[..., None]).sum(axis=-1)
-        capped_total = np.minimum(row, self.P_SUB).sum(axis=-1)
         assert (~active).any()
         assert ((row > self.P_SUB).sum(axis=-1) >= 2).any()
-        assert (capped_total > self.P_TOTAL).any()
-        assert (capped_total <= self.P_TOTAL).any()
 
-        got = project_feasible(v, self.P_SUB, self.P_TOTAL, active)
+        got = project_feasible(v, self.P_SUB, active)
         assert got.shape == v.shape
         for lane in range(len(v)):
-            want = project_feasible(v[lane], self.P_SUB, self.P_TOTAL, active[lane])
+            want = project_feasible(v[lane], self.P_SUB, active[lane])
             assert got[lane].tobytes() == want.tobytes()
 
 
@@ -362,11 +351,10 @@ class TestProxConsumption:
         lam, gamma = 0.004, 3.0
         x = prox_consumption(z, lam, gamma, cfg, a_tilde, n_elements)
         p_sub = cfg.p_sub(n_elements)
-        p_total = cfg.p_total(2, n_elements)
         target = z - gamma * lam * (a_tilde / cfg.varsigma)[:, None]
         for _ in range(60):
             w = rng.uniform(0, p_sub / 2, size=(2, 2))
-            w = project_feasible(w, p_sub, p_total, a_tilde > 0)
+            w = project_feasible(w, p_sub, a_tilde > 0)
             assert np.sum((w - x) * (x - target)) >= -1e-9
 
     def test_grid_refinement_oracle(self):
@@ -509,8 +497,7 @@ class TestDRSolve:
         lam = 0.005
         omega, info = dr_solve(ch, a_tilde, lam, pa_cfg, cfg, omega0=start)
         phi_start = dinkelbach_phi(
-            ch, project_feasible(start, cfg.p_sub(ch.n_elements),
-                                 cfg.p_total(3, ch.n_elements), a_tilde > 0),
+            ch, project_feasible(start, cfg.p_sub(ch.n_elements), a_tilde > 0),
             a_tilde, lam, cfg)
         assert info["phi"] >= phi_start - 1e-12
 

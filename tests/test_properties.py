@@ -15,7 +15,7 @@ from xlwpt.pa import (  # noqa: E402
     prox_consumption,
     prox_neg_harvest,
 )
-from xlwpt.power import PowerConfig, harvested_lanes  # noqa: E402
+from xlwpt.power import AllocationState, PowerConfig, harvested_lanes  # noqa: E402
 from xlwpt.sa import HPE_MONOTONE_SLACK, SAConfig, joint_solve  # noqa: E402
 from xlwpt.scenario import ClusterSpec, ScenarioConfig  # noqa: E402
 
@@ -29,26 +29,30 @@ def lane_stacks(draw):
                     elements=st.floats(-2.0, 2.0, allow_nan=False)))
     active = draw(arrays(np.bool_, (n_lanes, n_sub)))
     p_sub = draw(st.floats(0.05, 2.0))
-    p_total = p_sub * draw(st.floats(0.2, float(n_sub)))
-    return v, active, p_sub, p_total
+    return v, active, p_sub
 
 
 @settings(max_examples=80, deadline=None)
 @given(lane_stacks())
 def test_projection_feasible_idempotent_and_lane_exact(stack):
-    v, active, p_sub, p_total = stack
-    got = project_feasible(v, p_sub, p_total, active)
+    v, active, p_sub = stack
+    got = project_feasible(v, p_sub, active)
 
     assert np.all(got >= 0.0)
     assert np.all(got[~active] == 0.0)
     assert np.all(got.sum(axis=-1) <= p_sub * (1 + 1e-12))
-    assert np.all(got.sum(axis=(-2, -1)) <= p_total * (1 + 1e-12))
+    # no total budget is passed: the row caps imply P_t = S * P_s
+    assert np.all(got.sum(axis=(-2, -1)) <= v.shape[-2] * p_sub * (1 + 1e-12))
 
-    again = project_feasible(got, p_sub, p_total, active)
+    again = project_feasible(got, p_sub, active)
     np.testing.assert_allclose(again, got, rtol=1e-12, atol=1e-15)
 
+    # one element per sub-array, so P_s = P_et
+    power_cfg = PowerConfig(p_et=p_sub)
     for lane in range(len(v)):
-        want = project_feasible(v[lane], p_sub, p_total, active[lane])
+        AllocationState(got[lane], a=active[lane],
+                        a_tilde=active[lane]).validate(power_cfg, 1)
+        want = project_feasible(v[lane], p_sub, active[lane])
         assert got[lane].tobytes() == want.tobytes()
 
 
@@ -131,14 +135,13 @@ def test_consumption_prox_meets_its_optimality_condition(stack):
 @settings(max_examples=80, deadline=None)
 @given(consumption_stacks())
 def test_projection_meets_its_kkt_conditions(stack):
-    # with P_t = S * P_s, the only total budget the program uses, the rows
-    # decouple: p = proj(v) iff <v - p, omega - p> <= 0 for every feasible
+    # the rows decouple: p = proj(v) iff <v - p, omega - p> <= 0 for every feasible
     # omega, and each row over its budget is max(v - tau, 0) for one
     # tau >= 0 and sums to P_s
     v, _, _, a_tilde, n_elements, omega = stack
     active = a_tilde > 0
     p_sub = PowerConfig().p_sub(n_elements)
-    p = project_feasible(v, p_sub, v.shape[-2] * p_sub, active)
+    p = project_feasible(v, p_sub, active)
     scale = 1.0 + np.abs(v).sum(axis=(-2, -1)) * p_sub
     inner = np.sum((v - p) * (omega - p), axis=(-2, -1))
     assert np.all(inner <= 1e-12 * scale)
