@@ -1,7 +1,7 @@
 """Joint power-allocation and sub-array-activation optimization for
 harvested-power efficiency in modular XL-MIMO wireless power transfer."""
 
-from .baselines import MethodResult, ea_fa, grid_oracle, normalize, pa_es, pa_fa, pa_sa
+from .baselines import MethodResult, ea_fa, normalize, pa_es, pa_fa, pa_sa
 from .geometry import (
     ArrayGeometry,
     ChannelSet,
@@ -13,7 +13,7 @@ from .geometry import (
     near_field_boundary,
     radiation_pattern,
 )
-from .pa import PAConfig, PATrace, SolverFault, dinkelbach_phi, dr_solve, pa_solve
+from .pa import PAConfig, PATrace, SolverFault, dr_solve, pa_solve
 from .power import (
     AllocationState,
     PowerConfig,
@@ -33,12 +33,10 @@ __all__ = [
     "channel", "build_channel_set",
     "PowerConfig", "AllocationState", "harvested_power", "consumed_power",
     "hpe", "power_map",
-    "PAConfig", "PATrace", "SolverFault", "dinkelbach_phi", "dr_solve",
-    "pa_solve",
+    "PAConfig", "PATrace", "SolverFault", "dr_solve", "pa_solve",
     "SAConfig", "SolveReport", "surrogate", "activation_update",
     "parameterize", "joint_solve",
-    "MethodResult", "ea_fa", "pa_fa", "pa_sa", "pa_es", "grid_oracle",
-    "normalize",
+    "MethodResult", "ea_fa", "pa_fa", "pa_sa", "pa_es", "normalize",
     "ScenarioConfig", "ClusterSpec", "ConfigError", "load_scenario",
     "__version__",
 ]

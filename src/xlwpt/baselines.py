@@ -1,6 +1,5 @@
-"""Reference methods and brute-force oracles for the HPE benchmark."""
+"""The HPE benchmark's methods: EA-FA, PA-FA, PA-SA and PA-ES (exhaustive search)."""
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -11,7 +10,6 @@ from .power import AllocationState, consumed_lanes, harvested_lanes, hpe, unifor
 from .sa import SAConfig, joint_solve, outer_problem
 
 ES_SUBARRAY_CAP = 12
-GRID_ORACLE_MAX_VARS = 4
 # harvest-matrix entries (lanes x M x S^2) per PA-ES lane stack: larger
 # stacks spend less Python time per subset but hold more working memory
 _ES_STACK_ENTRIES = 49152
@@ -138,51 +136,6 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
                         active_count=int(alloc.a.sum()),
                         wall_clock=time.perf_counter() - tic, allocation=alloc,
                         extra={"subsets_evaluated": len(masks)})
-
-
-def grid_oracle(ch, power_cfg, active_set, steps):
-    """Dense grid search over feasible omega; independent verification only.
-
-    Enumerates all but the last free coefficient and vectorizes the last,
-    so runtime is steps^(S*M). Guarded to at most four free variables.
-    """
-    active_set = np.asarray(active_set, dtype=bool)
-    n_sub, n_users = ch.n_sub, ch.n_users
-    free = [(s, m) for s in range(n_sub) if active_set[s] for m in range(n_users)]
-    if len(free) > GRID_ORACLE_MAX_VARS:
-        raise ValueError("grid oracle limited to %d free variables, got %d"
-                         % (GRID_ORACLE_MAX_VARS, len(free)))
-    p_sub = power_cfg.p_sub(ch.n_elements)
-    p_total = power_cfg.p_total(n_sub, ch.n_elements)
-    axis = np.linspace(0.0, p_sub, steps + 1)
-    a = active_set.astype(int)
-
-    best = 0.0
-    if not free:
-        return best
-    head, last = free[:-1], free[-1]
-    for values in itertools.product(axis, repeat=len(head)):
-        omega = np.zeros((n_sub, n_users))
-        for (s, m), v in zip(head, values):
-            omega[s, m] = v
-        row = omega.sum(axis=1)
-        if np.any(row > p_sub) or row.sum() > p_total:
-            continue
-        s_last, m_last = last
-        room = min(p_sub - row[s_last], p_total - row.sum())
-        tail = axis[axis <= room + 1e-12]
-        if tail.size == 0:
-            continue
-        block = np.repeat(omega[None, :, :], tail.size, axis=0)
-        block[:, s_last, m_last] = tail
-        coef = a[None, :, None] * ch.kappa[None, :, :] * np.sqrt(block)
-        t = np.einsum("usm,skm->ukm", coef, ch.gram)
-        harvested = np.sum(np.abs(t) ** 2, axis=(1, 2))
-        bracket = (block.sum(axis=2) / power_cfg.varsigma
-                   + 2.0 * power_cfg.p_syn + ch.n_elements * power_cfg.p_ct)
-        consumed = (bracket * a[None, :]).sum(axis=1) + n_users * power_cfg.p_cr
-        best = max(best, float(np.max(harvested / consumed)))
-    return best
 
 
 def normalize(results):

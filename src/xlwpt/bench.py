@@ -229,34 +229,30 @@ def _emit_aggregate(rows, spec, outdir, column, filename, cell=float):
 
 
 def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
-                  path="powermap.csv", fixed_coord=None, ch=None):
+                  path="powermap.csv", ch=None):
     """Raster of harvested power seen by a probe over one coordinate plane.
 
-    ``fixed_coord`` places the plane on its third axis: by default y = 0
-    for xz, x = 0 for yz, and the users' mean depth z for xy, which must
-    lie in front of the array (z > 0). Each default extent holds the
-    array's width and every user: a square about boresight for xy, and for
-    xz/yz a depth of twice the cluster range or farthest user, at least 1 m.
+    The plane sits at y = 0 for xz, x = 0 for yz, and the users' mean
+    depth z for xy, which lies in front of the array. Each default extent
+    holds the array's width and every user: a square about boresight for
+    xy, and for xz/yz a depth of twice the cluster range or farthest user,
+    at least 1 m.
     ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if plane not in ("xz", "yz", "xy"):
         raise ValueError("plane must be one of xz, yz, xy")
-    if plane == "xy" and fixed_coord is not None and not fixed_coord > 0:
-        raise ValueError("an xy power map lies in front of the array, so it "
-                         "needs fixed_coord > 0, got %g" % fixed_coord)
     geom = cfg.geometry()
     if ch is None:
         ch = cfg.channel_set()
     half = geom.n_sub * geom.nx * geom.d / 2.0
     users = cfg.users()
-    if plane == "xy":
-        if fixed_coord is None:
-            fixed_coord = np.mean([p.z for p in users])
-        if extent is None:
-            half = max([half] + [max(abs(p.x), abs(p.y)) for p in users])
-            extent = (-half, half, -half, half)
+    # the plane's coordinate on its third axis
+    offset = np.mean([p.z for p in users]) if plane == "xy" else 0.0
+    if extent is None and plane == "xy":
+        half = max([half] + [max(abs(p.x), abs(p.y)) for p in users])
+        extent = (-half, half, -half, half)
     elif extent is None:
         half = max([half] + [abs(p.x if plane == "xz" else p.y) for p in users])
         depth = max([2.0 * cfg.clusters.range_m, 1.0] + [2.0 * p.z for p in users])
@@ -265,7 +261,7 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
     v = np.linspace(extent[2], extent[3], resolution)
     # rows run over v, and over u within each row
     uu, vv = np.meshgrid(u, v)
-    fixed = np.full(uu.shape, float(fixed_coord or 0.0))
+    fixed = np.full(uu.shape, float(offset))
     probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
                        "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
     values = power_map(geom, alloc, ch, probes,

@@ -5,6 +5,7 @@ Channels follow the free-space spherical-wavefront model with a cosine
 element radiation pattern: per-element phase, per-sub-array amplitude.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,7 +102,11 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class UserPosition:
-    """A user location in front of the array with its VR cluster tag."""
+    """A user location in front of the array with its VR cluster tag.
+
+    Every user row must have finite x, y and z, z > 0 and an integer VR
+    label >= 1; a whole float label such as 2.0 is stored as the int 2.
+    """
 
     x: float
     y: float
@@ -109,10 +114,14 @@ class UserPosition:
     vr_label: int = 1
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+            raise ValueError("user coordinates must be finite")
         if self.z <= 0:
             raise ValueError("users must be in front of the array plane (z > 0)")
-        if self.vr_label < 1:
-            raise ValueError("vr_label must be a positive cluster index")
+        label = self.vr_label
+        if not (math.isfinite(label) and label >= 1 and label == int(label)):
+            raise ValueError("vr_label must be an integer cluster index >= 1")
+        object.__setattr__(self, "vr_label", int(label))
 
     @property
     def coords(self):
@@ -198,11 +207,14 @@ def as_points(points):
     """Points as a (P, 3) float array; a (..., 3) stack is flattened.
 
     Raises ValueError unless the last axis holds (x, y, z), so an (N, 2)
-    array is never read as other, 3-D points.
+    array is never read as other, 3-D points, and unless every coordinate
+    is finite.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 0 or pts.shape[-1] != 3:
         raise ValueError("points must have shape (..., 3), got %s" % (pts.shape,))
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
     return pts.reshape(-1, 3)
 
 
@@ -271,10 +283,6 @@ class ChannelSet:
     @property
     def n_elements(self):
         return self.g.shape[2]
-
-    def blocked(self):
-        """Boolean mask of (s, m) pairs with zero channel norm."""
-        return self.norms == 0.0
 
 
 def build_channel_set(geom, users, amplitude_model="center"):

@@ -120,8 +120,7 @@ def quadratic_sup(quad):
     lam = np.linalg.eigvalsh(quad).max(axis=(-2, -1))
     if not np.all(np.isfinite(lam)):
         raise SolverFault("largest-eigenvalue estimate of the harvest form failed")
-    lam = np.maximum(lam, 0.0)
-    return float(lam) if lam.ndim == 0 else lam
+    return np.maximum(lam, 0.0)
 
 
 def _consumption_parts(a_tilde, power_cfg, n_users, n_elements):
@@ -132,14 +131,6 @@ def _consumption_parts(a_tilde, power_cfg, n_users, n_elements):
                     axis=-1)
              + n_users * power_cfg.p_cr)
     return slope, fixed
-
-
-def dinkelbach_phi(ch, omega, a_tilde, lam, power_cfg):
-    """Transformed objective I(omega, a~) - lambda * P_c(omega, a~)."""
-    omega, a_tilde = np.asarray(omega, dtype=float), np.asarray(a_tilde, dtype=float)
-    harvested = harvested_lanes(ch, omega, a_tilde)
-    consumed = consumed_lanes(omega, a_tilde, power_cfg, ch.n_users, ch.n_elements)
-    return float(harvested - lam * consumed)
 
 
 def project_feasible(omega_raw, p_sub, active):

@@ -122,11 +122,6 @@ def consumed_lanes(omega, weights, power_cfg, n_users, n_elements):
             + n_users * power_cfg.p_cr)
 
 
-def received_power_per_user(ch, alloc):
-    """Harvested RF power at each receiving user [W]."""
-    return _received(ch, alloc.omega, alloc.a)
-
-
 def harvested_power(ch, alloc):
     """Total RF power collected by all users for the given allocation [W]."""
     if alloc.omega.shape != (ch.n_sub, ch.n_users):

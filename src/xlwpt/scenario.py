@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .baselines import ES_SUBARRAY_CAP
 from .geometry import AMPLITUDE_MODELS, ArrayGeometry, UserPosition, build_channel_set
 from .pa import PAConfig
 from .power import PowerConfig
@@ -62,7 +63,7 @@ class ScenarioConfig:
     pa: PAConfig = field(default_factory=PAConfig)
     sa: SAConfig = field(default_factory=SAConfig)
     seed: int = 0
-    es_cap: int = 12
+    es_cap: int = ES_SUBARRAY_CAP
     methods: tuple[str, ...] = KNOWN_METHODS
     output_dir: str = "out"
     artifacts: tuple[str, ...] = ARTIFACTS
@@ -74,14 +75,10 @@ class ScenarioConfig:
         if self.positions is not None:
             if not self.positions:
                 raise ValueError("need at least one user position")
-            for p in self.positions:
-                if len(p) != 4 or not all(math.isfinite(v) for v in p):
-                    raise ValueError("each user position needs four finite "
-                                     "numbers [x, y, z, vr]")
-                if not p[2] > 0:
-                    raise ValueError("user z must be positive")
-                if not (p[3] >= 1 and p[3] == int(p[3])):
-                    raise ValueError("user VR label must be an integer >= 1")
+            if any(len(p) != 4 for p in self.positions):
+                raise ValueError("each user position needs four numbers "
+                                 "[x, y, z, vr]")
+            self.users()  # UserPosition rejects an invalid row
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.es_cap < 1:
@@ -108,8 +105,7 @@ class ScenarioConfig:
     def users(self):
         """Materialize user positions, explicit or cluster-generated."""
         if self.positions is not None:
-            return [UserPosition(x=p[0], y=p[1], z=p[2], vr_label=int(p[3]))
-                    for p in self.positions]
+            return [UserPosition(*p) for p in self.positions]
         return generate_cluster_users(self.clusters, np.random.default_rng(self.seed))
 
     def channel_set(self):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xlwpt.baselines import grid_oracle
+from oracles import grid_oracle
 from xlwpt.bench import bench_timing, emit_powermap, run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set, radiation_pattern
 from xlwpt.pa import (
@@ -20,7 +20,6 @@ from xlwpt.pa import (
     pa_solve,
     prox_consumption,
     prox_neg_harvest,
-    quadratic_sup,
 )
 from xlwpt.power import AllocationState, PowerConfig, consumed_power, harvested_power
 from xlwpt.scenario import ClusterSpec, ScenarioConfig

@@ -1,14 +1,15 @@
-"""Reference-method tests: dominance ordering, exhaustive search, grid oracle."""
+"""Reference-method tests: dominance ordering, exhaustive search, and the
+grid oracle that the other test modules use."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import grid_oracle
 from xlwpt import baselines
 from xlwpt.baselines import (
     ea_fa,
-    grid_oracle,
     normalize,
     pa_es,
     pa_fa,

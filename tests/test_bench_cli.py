@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from xlwpt import baselines, bench, cli
+from xlwpt import baselines, bench, cli, power
 from xlwpt.bench import (
     SweepSpec,
     bench_timing,
@@ -19,7 +19,7 @@ from xlwpt.bench import (
 from xlwpt.cli import main
 from xlwpt.geometry import ChannelSet
 from xlwpt.pa import SolverFault
-from xlwpt.power import AllocationState, received_power_per_user, uniform_split
+from xlwpt.power import AllocationState, uniform_split
 from xlwpt.sa import SAConfig, SolveReport
 from xlwpt.scenario import ScenarioConfig, ClusterSpec, scenario_from_dict
 
@@ -362,15 +362,17 @@ class TestPowerMap:
 
     def test_probe_at_user_uses_scenario_amplitude_model(self, tmp_path):
         # a one-cell raster placed on a user reads that user's received
-        # power only if the probe channels follow the scenario's model
-        cfg = small_cfg(methods=("PA-SA",), amplitude_model="per_element")
+        # power only if the probe channels follow the scenario's model; the
+        # user sits at y = 0, on the xz plane
+        cfg = small_cfg(methods=("PA-SA",), amplitude_model="per_element",
+                        positions=((0.2, 0.0, 0.45, 1), (0.3, 0.06, 0.5, 1)))
         results, _ = run_methods(cfg)
         alloc = results[0].allocation
         u = cfg.users()[0]
         grid = emit_powermap(cfg, alloc, plane="xz",
                              extent=(u.x, u.x, u.z, u.z), resolution=1,
-                             path=str(tmp_path / "m.csv"), fixed_coord=u.y)
-        want = received_power_per_user(cfg.channel_set(), alloc)[0]
+                             path=str(tmp_path / "m.csv"))
+        want = power._received(cfg.channel_set(), alloc.omega, alloc.a)[0]
         assert grid[0, 0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("plane", ["xz", "yz"])
@@ -394,13 +396,9 @@ class TestPowerMap:
     def test_bad_plane(self, tmp_path):
         cfg = small_cfg(methods=("PA-SA",))
         results, _ = run_methods(cfg)
-        with pytest.raises(ValueError):
-            emit_powermap(cfg, results[0].allocation, plane="zz")
-        # an xy plane on or behind the array holds no probe
-        for z in (0.0, -0.5):
-            with pytest.raises(ValueError, match="fixed_coord > 0"):
-                emit_powermap(cfg, results[0].allocation, plane="xy",
-                              path=str(tmp_path / "m.csv"), fixed_coord=z)
+        with pytest.raises(ValueError, match="plane must be one of"):
+            emit_powermap(cfg, results[0].allocation, plane="zz",
+                          path=str(tmp_path / "m.csv"))
         assert not (tmp_path / "m.csv").exists()
 
 

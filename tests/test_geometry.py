@@ -245,7 +245,6 @@ class TestChannelSet:
         ch = build_channel_set(geom, users)
         assert ch.g.shape == (6, 3, 256)
         assert np.all(ch.norms > 0)
-        assert not ch.blocked().any()
 
     def test_blocked_pairs_flagged_with_zero_kappa(self, monkeypatch):
         # blocked pairs (zero pattern gain) get kappa = 0, not 1/0
@@ -254,7 +253,7 @@ class TestChannelSet:
         with pytest.warns(UserWarning):
             ch = build_channel_set(single_element_geometry(),
                                    [UserPosition(0, 0, 0.005)])
-        assert ch.blocked().all()
+        assert np.all(ch.norms == 0.0)
         assert np.all(ch.kappa == 0.0)
         assert np.all(ch.g == 0.0)
 
@@ -282,6 +281,21 @@ class TestValidation:
     def test_user_behind_plane_rejected(self):
         with pytest.raises(ValueError):
             UserPosition(0, 0, -1.0)
+
+    @pytest.mark.parametrize("coords", [(np.nan, 0.0, 1.0), (0.1, 0.0, np.inf),
+                                        (0.1, -np.inf, 1.0), (0.1, 0.0, np.nan)])
+    def test_non_finite_user_rejected(self, coords):
+        with pytest.raises(ValueError, match="finite"):
+            UserPosition(*coords)
+
+    @pytest.mark.parametrize("label", [0, 1.5, np.nan, np.inf])
+    def test_vr_label_must_be_a_positive_integer(self, label):
+        with pytest.raises(ValueError, match="vr_label"):
+            UserPosition(0.1, 0.0, 1.0, label)
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            channels(paper_geometry(2), [(0.0, 0.0, 1.0), (np.nan, 0.0, 1.0)])
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):

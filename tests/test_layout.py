@@ -3,7 +3,8 @@
 Checked on its source with ``ast``: every import sits at module level, and
 no module reaches into another xlwpt module for a ``_private`` name, by
 import or by attribute. Checked in a fresh interpreter: importing the
-package starts no thread.
+package starts no thread. Checked on the package: ``__all__`` lists each
+exported name once, and ``from xlwpt import *`` binds exactly those names.
 """
 
 import ast
@@ -13,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+
+import xlwpt
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "xlwpt"
 MODULES = sorted(SRC.glob("*.py"))
@@ -71,3 +74,11 @@ def test_no_private_name_from_another_module(path):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_star_import_binds_the_export_list_once():
+    # a name in __all__ that the package does not bind fails the star import
+    namespace = {}
+    exec("from xlwpt import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(xlwpt.__all__)
+    assert len(xlwpt.__all__) == len(set(xlwpt.__all__))

@@ -14,7 +14,6 @@ from xlwpt.pa import (
     PAConfig,
     SolverFault,
     build_quadratic,
-    dinkelbach_phi,
     dr_solve,
     pa_solve,
     project_feasible,
@@ -27,7 +26,6 @@ from xlwpt.power import (
     PowerConfig,
     consumed_lanes,
     harvested_lanes,
-    harvested_power,
 )
 from xlwpt.scenario import ScenarioConfig
 
@@ -295,7 +293,7 @@ class TestQuadraticForm:
     def test_sup_matches_rayleigh_oracle(self):
         _, ch = make_channels(n_sub=4, n_users=2, seed=6)
         quad = build_quadratic(ch, np.ones(4))
-        sup = quadratic_sup(quad)
+        sup = quadratic_sup(quad[None])[0]
         rng = np.random.default_rng(6)
         best = 0.0
         for a in quad:
@@ -312,31 +310,6 @@ class TestQuadraticForm:
         quad = build_quadratic(ch, np.array([1.0, 0.0]))
         assert np.all(quad[:, 1, :] == 0.0)
         assert np.all(quad[:, :, 1] == 0.0)
-
-
-class TestDinkelbachPhi:
-    def test_definition(self):
-        _, ch = make_channels(seed=2)
-        rng = np.random.default_rng(2)
-        omega = rng.uniform(0, 0.2, size=(2, 2))
-        a_tilde = np.array([1.0, 0.6])
-        cfg = PowerConfig()
-        # the harvest as its quadratic form in q = sqrt(omega), P_c written out
-        q = np.sqrt(omega)
-        harvest = np.einsum("sm,mst,tm->", q, build_quadratic(ch, a_tilde), q)
-        consumed = (a_tilde @ (omega.sum(axis=1) / cfg.varsigma + 2 * cfg.p_syn
-                               + ch.n_elements * cfg.p_ct) + 2 * cfg.p_cr)
-        want = harvest - 0.003 * consumed
-        assert dinkelbach_phi(ch, omega, a_tilde, 0.003, cfg) == pytest.approx(
-            want, rel=1e-12)
-
-    def test_zero_lambda_is_harvest(self):
-        _, ch = make_channels(seed=3)
-        omega = np.full((2, 2), 0.05)
-        a_tilde = np.ones(2)
-        alloc = AllocationState(omega=omega.copy(), a=[1, 1], a_tilde=a_tilde)
-        assert dinkelbach_phi(ch, omega, a_tilde, 0.0, PowerConfig()) == \
-            pytest.approx(harvested_power(ch, alloc))
 
 
 class TestProxConsumption:
@@ -396,7 +369,7 @@ class TestProxNegHarvest:
         _, ch = make_channels(n_sub=2, n_users=2, seed=8)
         a_tilde = np.ones(2)
         quad = build_quadratic(ch, a_tilde)
-        gamma = 0.2 / quadratic_sup(quad)
+        gamma = 0.2 / quadratic_sup(quad[None])[0]
         v = np.full((2, 2), 0.05)
         out = prox_neg_harvest(v, gamma, quad)
         q = np.sqrt(out)
@@ -433,7 +406,7 @@ class TestProxNegHarvest:
         # asks for a first step of 10 / lam_max
         _, ch = make_channels(n_sub=2, n_users=1, seed=10)
         a_tilde = np.ones(2)
-        lam_max = quadratic_sup(build_quadratic(ch, a_tilde))
+        lam_max = quadratic_sup(build_quadratic(ch, a_tilde[None]))[0]
         out, info = dr_solve(ch, a_tilde, 0.01, PAConfig(gamma=10.0), PowerConfig(),
                              omega0=np.full((2, 1), 0.1))
         assert info["gamma"] <= 0.45 / lam_max
@@ -496,9 +469,9 @@ class TestDRSolve:
         start = np.full((3, 2), cfg.p_sub(ch.n_elements) / 2)
         lam = 0.005
         omega, info = dr_solve(ch, a_tilde, lam, pa_cfg, cfg, omega0=start)
-        phi_start = dinkelbach_phi(
-            ch, project_feasible(start, cfg.p_sub(ch.n_elements), a_tilde > 0),
-            a_tilde, lam, cfg)
+        x0 = project_feasible(start, cfg.p_sub(ch.n_elements), a_tilde > 0)
+        phi_start = (harvested_lanes(ch, x0, a_tilde)
+                     - lam * consumed_lanes(x0, a_tilde, cfg, ch.n_users, ch.n_elements))
         assert info["phi"] >= phi_start - 1e-12
 
     def test_output_feasible(self):

@@ -29,7 +29,6 @@ from xlwpt.power import (
     harvested_power,
     hpe,
     power_map,
-    received_power_per_user,
 )
 
 
@@ -135,15 +134,6 @@ class TestHarvestedPower:
             harvested_power(ch, explicit), rel=1e-12)
         assert harvested_power(ch, dropped) != pytest.approx(
             harvested_power(ch, full), rel=1e-6)
-
-    def test_per_user_sums_to_total(self):
-        _, ch = small_channel_set(n_users=3)
-        rng = np.random.default_rng(3)
-        alloc = random_allocation(ch, PowerConfig(), rng)
-        per = received_power_per_user(ch, alloc)
-        assert per.shape == (3,)
-        assert np.all(per >= 0)
-        assert per.sum() == pytest.approx(harvested_power(ch, alloc))
 
     def test_dimension_mismatch(self):
         _, ch = small_channel_set()
@@ -256,7 +246,7 @@ class TestPowerMap:
         u = (u_rng.uniform(-0.3, 0.3), u_rng.uniform(-0.1, 0.1),
              u_rng.uniform(0.5, 1.2))
         vals = power_map(geom, alloc, ch, [u])
-        per = received_power_per_user(ch, alloc)
+        per = power._received(ch, alloc.omega, alloc.a)
         assert vals[0] == pytest.approx(per[0], rel=1e-10)
 
     def test_behind_plane_is_zero(self):
@@ -265,6 +255,14 @@ class TestPowerMap:
         alloc = random_allocation(ch, PowerConfig(), rng)
         vals = power_map(geom, alloc, ch, [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
         assert np.all(vals == 0.0)
+
+    @pytest.mark.parametrize("probe", [(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan),
+                                       (0.0, np.inf, 1.0)])
+    def test_non_finite_probe_rejected(self, probe):
+        geom, ch = small_channel_set()
+        alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="finite"):
+            power_map(geom, alloc, ch, [(0.0, 0.0, 1.0), probe])
 
     def test_nonnegative_everywhere(self):
         geom, ch = small_channel_set()

@@ -81,8 +81,16 @@ class TestParsing:
         cfg = load_scenario(path)
         users = cfg.users()
         assert len(users) == 2
-        assert users[1].vr_label == 2
+        assert users[1].vr_label == 2 and type(users[1].vr_label) is int
         assert users[1].x == pytest.approx(-0.2)
+
+    @pytest.mark.parametrize("row", [(math.nan, 0.0, 1.0, 1), (0.1, 0.0, math.inf, 1),
+                                     (0.1, 0.0, 1.0, math.inf)])
+    def test_non_finite_position_row_rejected(self, row):
+        # JSON parsing stops these first; the config itself checks its rows
+        # by building them as UserPosition
+        with pytest.raises(ValueError):
+            ScenarioConfig(positions=((0.2, 0.0, 1.0, 1), row))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -124,6 +132,8 @@ class TestParsing:
         {"power": {"varsigma": 2}},
         {"users": {"positions": [[math.inf, 0.0, 1.0, 1]]}},
         {"users": {"positions": [[0.1, 0.0, 1.0, 0]]}},
+        {"users": {"positions": [[0.1, 0.0, 1.0, 1.5]]}},
+        {"users": {"positions": [[0.1, 0.0, 1.0]]}},
         {"outputs": {"artifacts": "results"}},
         {"outputs": {"dir": 3}},
         {"methods": []},
