@@ -182,7 +182,10 @@ def channel(geom, s, user, amplitude_model="center"):
     """
     if amplitude_model not in AMPLITUDE_MODELS:
         raise ValueError("unknown amplitude model %r" % amplitude_model)
-    p = user.coords if isinstance(user, UserPosition) else np.asarray(user, float)
+    p = as_points(user.coords if isinstance(user, UserPosition) else user)
+    if len(p) != 1:
+        raise ValueError("channel takes one point, got %d" % len(p))
+    p = p[0]
     if p[2] <= 0:
         raise ValueError("user must be in front of the array plane")
     elems = element_positions(geom, s)

@@ -25,6 +25,14 @@ candidates and polish trials. A user no active sub-array reaches is thus
 given no power: the start projections zero its entries, and the
 operators keep them zero (its harvest matrix is 0, its consumption-prox
 input <= 0 and its polish gradient 0).
+
+The polish tries one step per lane and pass while every lane accepts.
+After a rejection, a pass tries each lane's next halvings together, from
+the same point and gradient (at most ``_PGA_MAX_BATCH``, and
+``_PGA_BATCH_ENTRIES`` trial entries per pass), and each lane takes its
+first trial that is accepted, stops it or reaches its trial cap. Halving
+is exact, so every lane keeps the bits and trial count of the one-trial
+ascent; only the number of passes drops.
 """
 
 import time
@@ -37,7 +45,9 @@ from .power import consumed_lanes, harvested_lanes, uniform_split
 LAMBDA_SLACK = 1e-9          # relative tolerance on the Dinkelbach monotonicity check
 _SHRINK_EVERY = 10           # DR iterations between prox-step shrinks
 _SHRINK = 0.25               # prox-step shrink factor
-_PGA_MAX_ITER = 500          # iteration cap of the monotone ascent safeguard
+_PGA_MAX_ITER = 500          # trial cap of each lane of the monotone ascent safeguard
+_PGA_BATCH_ENTRIES = 1024    # trial entries k * B * S * M of one batched polish pass
+_PGA_MAX_BATCH = 16          # most trials per lane in one polish pass
 
 
 class SolverFault(RuntimeError):
@@ -84,6 +94,8 @@ class DinkelbachState:
     residual: float
     dr_residual: float
     dr_iterations: int
+    pga_trials: int          # polish trials of the winning seed
+    pga_seed: int            # winning polish seed: 0 the DR candidate, 1 the start
     wall_ns: int
 
 
@@ -238,8 +250,11 @@ class Lanes:
                      self.slope[idx], self.fixed[idx], self.p_sub)
 
     def project(self, omega):
-        """``omega`` (B, S, M) projected onto each lane's feasible set."""
-        return project_feasible(omega, self.p_sub, self.allowed)
+        """``omega`` (..., B, S, M) projected onto each lane's feasible set."""
+        allowed = self.allowed
+        if omega.ndim > allowed.ndim:
+            allowed = np.broadcast_to(allowed, omega.shape)
+        return project_feasible(omega, self.p_sub, allowed)
 
 
 def _polish(lanes, lane_of, lam, seeds):
@@ -248,12 +263,24 @@ def _polish(lanes, lane_of, lam, seeds):
     ``seeds`` holds one feasible start per polish lane, and polish lane i
     is lane ``lane_of[i]`` of ``lanes``; each ascends on its own, never
     ends below its starting phi, and leaves the working arrays once it
-    stops. Returns the ascended points and their phi.
+    stops. A trial is accepted if it raises phi (the step then grows by
+    1.3) and rejected otherwise (the step halves); a lane stops on an
+    accepted trial that gains too little, once its step falls below its
+    floor, or after ``_PGA_MAX_ITER`` trials.
+
+    A rejection leaves q and the gradient as they are, so after any
+    rejection a pass tries the next ``k`` steps of every lane at once,
+    step * 2**-j for j < k, and each lane takes its first trial that is
+    accepted, stops it or is its last. Halving by a power of two is exact,
+    so every lane takes the trials, bits and stopping pass of the one-trial
+    ascent; ``k`` keeps k * B * S * M within ``_PGA_BATCH_ENTRIES``. Returns
+    the ascended points, their phi and each lane's trial count.
     """
 
     def phi_of(work, q):
-        harvest = np.einsum("bsm,bmst,btm->b", q, work.quad, q)
-        transmit = (work.slope * q**2).reshape(len(q), -1).sum(axis=-1)
+        # q holds (..., B, S, M) points: leading axes are trials of each lane
+        harvest = np.einsum("...bsm,bmst,...btm->...b", q, work.quad, q)
+        transmit = (work.slope * q**2).reshape(q.shape[:-2] + (-1,)).sum(axis=-1)
         return harvest - lam * (transmit + work.fixed)
 
     work = lanes.take(lane_of)
@@ -264,34 +291,55 @@ def _polish(lanes, lane_of, lam, seeds):
                    1.0)
     step = 1.0 / np.where(lip > 0, lip, 1.0)
     floor = step * 1e-12
+    n, size = len(q), q[0].size
     q_out, best_out = np.empty_like(q), np.empty_like(best)
-    run = np.arange(len(q))
-    for _ in range(_PGA_MAX_ITER):
+    trials_out = np.empty(n, dtype=int)
+    run, trials = np.arange(n), np.zeros(n, dtype=int)
+    # column j: the step factor 2**-j and the trial count after trial j
+    ladder = np.ldexp(1.0, -np.arange(_PGA_MAX_BATCH))[:, None]
+    counts = np.arange(1, _PGA_MAX_BATCH + 1)[:, None]
+    k = 1
+    while True:
         grad = (2.0 * np.einsum("bmst,btm->bsm", work.quad, q)
                 - (2.0 * lam)[:, None, None] * work.slope * q)
-        trial_q = np.maximum(q + step[:, None, None] * grad, 0.0)
+        steps = step if k == 1 else step * ladder[:k]
+        trial_q = np.maximum(q + steps[..., None, None] * grad, 0.0)
         trial_q = np.sqrt(work.project(trial_q**2))
         val = phi_of(work, trial_q)
+        j = 0
+        if k > 1:
+            # each lane's first trial that is accepted, stops it or is its
+            # last; a lane with none takes trial k - 1, rejected
+            ends = ((val > best) | (steps * 0.5 < floor)
+                    | (trials + counts[:k] >= _PGA_MAX_ITER))
+            ends[-1] = True
+            j = ends.argmax(axis=0)
+            pick = (j, np.arange(len(run)))
+            trial_q, val, steps = trial_q[pick], val[pick], steps[pick]
         up = val > best
         gain = val - best
         q = np.where(up[:, None, None], trial_q, q)
         best = np.where(up, val, best)
-        step = np.where(up, step * 1.3, step * 0.5)
-        stop = np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12), step < floor)
+        step = np.where(up, steps * 1.3, steps * 0.5)
+        trials = trials + (j + 1)
+        stop = (np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12), step < floor)
+                | (trials >= _PGA_MAX_ITER))
         if stop.any():
             fin = run[stop]
             q_out[fin], best_out[fin] = q[stop], best[stop]
+            trials_out[fin] = trials[stop]
             keep = np.flatnonzero(~stop)
-            run, q, best, step, floor, lam = (
-                a[keep] for a in (run, q, best, step, floor, lam))
+            run, q, best, step, floor, lam, trials = (
+                a[keep] for a in (run, q, best, step, floor, lam, trials))
             if not len(run):
                 break
             # freed before the gather from ``lanes``, so that no two
             # working copies of the harvest matrices are alive at once
             del work
             work = lanes.take(lane_of[run])
-    q_out[run], best_out[run] = q, best
-    return q_out**2, best_out
+        k = 1 if up.all() else max(1, min(_PGA_MAX_BATCH,
+                                          _PGA_BATCH_ENTRIES // (len(run) * size)))
+    return q_out**2, best_out, trials_out
 
 
 def _dr_loop(lanes, lam, gamma, start, pa_cfg):
@@ -361,13 +409,16 @@ def dr_step(lanes, lam, gamma, omega0, pa_cfg):
     # stationary under the sqrt substitution, so a single seed can get stuck
     n = len(lam)
     pair = np.tile(np.arange(n), 2)
-    omega, phi = _polish(lanes, pair, lam[pair], np.concatenate([candidate, start]))
+    omega, phi, trials = _polish(lanes, pair, lam[pair],
+                                 np.concatenate([candidate, start]))
     second = phi[n:] > phi[:n]
     info = {
         "dr_residual": residual,
         "dr_iterations": iters,
         "gamma": gamma,
         "phi": np.where(second, phi[n:], phi[:n]),
+        "pga_trials": np.where(second, trials[n:], trials[:n]),
+        "pga_seed": second.astype(int),
     }
     return np.where(second[:, None, None], omega[n:], omega[:n]), info
 
@@ -447,7 +498,8 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
         log.rows.append((t, run, time.perf_counter_ns() - tic, dict(
             lambda_t=lam, phi=harvested - lam * consumed, harvested=harvested,
             consumed=consumed, residual=residual, dr_residual=info["dr_residual"],
-            dr_iterations=info["dr_iterations"])))
+            dr_iterations=info["dr_iterations"], pga_trials=info["pga_trials"],
+            pga_seed=info["pga_seed"])))
         done = residual <= pa_cfg.epsilon
         if done.any():
             log.converged[run[done]] = True

@@ -297,6 +297,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             channels(paper_geometry(2), [(0.0, 0.0, 1.0), (np.nan, 0.0, 1.0)])
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0, 1.0), (0.1, np.inf, 1.0),
+                                       (0.1, 0.0, -np.inf)])
+    def test_non_finite_raw_point_rejected_by_channel(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            channel(paper_geometry(2), 0, np.array(point))
+
+    @pytest.mark.parametrize("point", [(0.1, 1.0), [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)]],
+                             ids=["two_numbers", "two_points"])
+    def test_channel_takes_exactly_one_point(self, point):
+        with pytest.raises(ValueError, match="shape|one point"):
+            channel(paper_geometry(2), 0, point)
+
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             ArrayGeometry(n_sub=0, nx=2, ny=2, d=0.05, wavelength=0.1,

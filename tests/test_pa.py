@@ -8,6 +8,7 @@ whole-solver instances.
 import numpy as np
 import pytest
 
+from oracles import sequential_polish
 from xlwpt import pa
 from xlwpt.geometry import ArrayGeometry, ChannelSet, UserPosition, build_channel_set
 from xlwpt.pa import (
@@ -26,6 +27,7 @@ from xlwpt.power import (
     PowerConfig,
     consumed_lanes,
     harvested_lanes,
+    uniform_split,
 )
 from xlwpt.scenario import ScenarioConfig
 
@@ -137,6 +139,80 @@ class TestLaneStack:
             want, want_info = dr_solve(ch, mask, 0.01, pa_cfg, power_cfg)
             assert omega[i].tobytes() == want.tobytes()
             assert {k: v[i] for k, v in info.items()} == want_info
+
+
+def count_projections(monkeypatch):
+    """Count ``Lanes.project`` calls in the returned dict's ``"n"``; the
+    polish projects once per pass."""
+    calls = {"n": 0}
+    project = pa.Lanes.project
+
+    def counted(self, omega):
+        calls["n"] += 1
+        return project(self, omega)
+
+    monkeypatch.setattr(pa.Lanes, "project", counted)
+    return calls
+
+
+class TestPolishBatching:
+    """The polish tries several halvings per pass with the one-trial bits."""
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["masks", "fractional"])
+    def test_dr_step_matches_sequential_polish_in_fewer_passes(self, monkeypatch,
+                                                               fractional):
+        _, ch = make_channels(n_sub=4, n_users=3, seed=5)
+        pa_cfg, power_cfg = PAConfig(), PowerConfig()
+        masks = ((np.arange(1, 16)[:, None] >> np.arange(4)) & 1).astype(float)
+        if fractional:
+            masks = masks * np.linspace(0.2, 1.0, 4)
+        stack = pa.Lanes.build(ch, masks, power_cfg)
+        omega0 = np.full((len(masks), 4, 3), power_cfg.p_sub(ch.n_elements) / 3)
+        lam = np.linspace(0.0, 2e-2, len(masks))
+        gamma = pa.initial_gamma(stack.lam_max, pa_cfg)
+        calls = count_projections(monkeypatch)
+        omega, info = pa.dr_step(stack, lam, gamma, omega0, pa_cfg)
+        batched = calls["n"]
+        monkeypatch.setattr(pa, "_polish", sequential_polish)
+        calls["n"] = 0
+        want_omega, want_info = pa.dr_step(stack, lam, gamma, omega0, pa_cfg)
+        assert omega.tobytes() == want_omega.tobytes()
+        assert want_info.keys() == info.keys()
+        for key in want_info:
+            assert info[key].tobytes() == want_info[key].tobytes(), key
+        # the DR loops project alike, so the polish alone takes fewer passes
+        assert batched < calls["n"]
+
+    def test_rejection_tail_takes_one_pass_per_batch(self, monkeypatch):
+        # from q = 0 the gradient is 0, so every trial is rejected and the
+        # step halves 40 times, down to its floor of 1e-12 of the first step
+        _, ch = make_channels(n_sub=2, n_users=2, seed=1)
+        stack = pa.Lanes.build(ch, np.ones((1, 2)), PowerConfig())
+        calls = count_projections(monkeypatch)
+        omega, _, trials = pa._polish(stack, np.array([0]), np.array([0.1]),
+                                      np.zeros((1, 2, 2)))
+        assert trials.tolist() == [40] and not omega.any()
+        # one trial first, then full batches of halvings
+        k = min(pa._PGA_MAX_BATCH, pa._PGA_BATCH_ENTRIES // 4)
+        assert calls["n"] == 1 + -(-39 // k)
+
+    def test_counters_reach_the_trace(self):
+        _, ch = make_channels(n_sub=3, n_users=2, seed=7)
+        pa_cfg, power_cfg = PAConfig(), PowerConfig()
+        a_tilde = np.array([1.0, 0.5, 1.0])
+        _, trace = pa_solve(ch, a_tilde, pa_cfg, power_cfg)
+        for state in trace.states:
+            assert state.pga_seed in (0, 1)
+            assert 1 <= state.pga_trials <= pa._PGA_MAX_ITER
+        # the first Dinkelbach iteration is dr_solve at the start's ratio
+        start = uniform_split(ch, power_cfg)
+        lam = (harvested_lanes(ch, start[None], a_tilde[None])
+               / consumed_lanes(start[None], a_tilde[None], power_cfg, 2,
+                                ch.n_elements))[0]
+        _, info = dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg)
+        assert isinstance(info["pga_trials"], int) and isinstance(info["pga_seed"], int)
+        assert info["pga_trials"] == trace.states[0].pga_trials
+        assert info["pga_seed"] == trace.states[0].pga_seed
 
 
 def oracle_dr_loop(ch, power_cfg):

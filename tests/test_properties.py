@@ -1,5 +1,6 @@
 """Property-based invariants of the feasibility projection, both proxes,
-the harvest lane kernel and the joint activation/allocation loop."""
+the harvest lane kernel, the batched polish and the joint
+activation/allocation loop."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from oracles import sequential_polish  # noqa: E402
 from test_power import harvested_power_oracle, small_channel_set  # noqa: E402
+from xlwpt import pa  # noqa: E402
 from xlwpt.pa import (  # noqa: E402
     PAConfig,
     project_feasible,
     prox_consumption,
     prox_neg_harvest,
 )
-from xlwpt.power import AllocationState, PowerConfig, harvested_lanes  # noqa: E402
+from xlwpt.power import (  # noqa: E402
+    AllocationState,
+    PowerConfig,
+    consumed_lanes,
+    harvested_lanes,
+    uniform_split,
+)
 from xlwpt.sa import HPE_MONOTONE_SLACK, SAConfig, joint_solve  # noqa: E402
 from xlwpt.scenario import ClusterSpec, ScenarioConfig  # noqa: E402
 
@@ -171,6 +180,49 @@ def test_harvest_kernel_equals_pair_sum_expansion(seed, n_sub, n_users, n_lanes,
     for lane in range(n_lanes):
         want = harvested_power_oracle(ch, omega[lane], weights[lane])
         assert got[lane] == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+@st.composite
+def polish_stacks(draw):
+    """A lane stack, polish lanes that index it, each with a ratio around
+    its lane's uniform-split HPE and a feasible seed."""
+    n_sub, n_users = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    _, ch = small_channel_set(n_sub=n_sub, n_users=n_users,
+                              seed=draw(st.integers(0, 10**6)))
+    n_lanes = draw(st.integers(1, 3))
+    a_tilde = draw(arrays(np.float64, (n_lanes, n_sub), elements=st.sampled_from(
+        [0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)))
+    cfg = PowerConfig()
+    lanes = pa.Lanes.build(ch, a_tilde, cfg)
+    lane_of = np.array(draw(st.lists(st.integers(0, n_lanes - 1), min_size=1,
+                                     max_size=6)))
+    uniform = np.broadcast_to(uniform_split(ch, cfg), (n_lanes, n_sub, n_users))
+    ratio = (harvested_lanes(ch, uniform, a_tilde)
+             / consumed_lanes(uniform, a_tilde, cfg, n_users, ch.n_elements))
+    scale = draw(arrays(np.float64, (len(lane_of),), elements=st.floats(0.0, 3.0)))
+    raw = draw(arrays(np.float64, (len(lane_of), n_sub, n_users),
+                      elements=st.floats(0.0, 2.0 * cfg.p_sub(ch.n_elements))))
+    seeds = lanes.take(lane_of).project(raw)
+    return lanes, lane_of, ratio[lane_of] * scale, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=polish_stacks(), cap=st.sampled_from([1, 2, 7, 500]),
+       entries=st.integers(1, 200), max_batch=st.integers(1, 6))
+def test_batched_polish_repeats_the_sequential_ascent(stack, cap, entries, max_batch):
+    # small trial caps and budgets put the cap and the changes of k
+    # inside batched passes
+    lanes, lane_of, lam, seeds = stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pa, "_PGA_MAX_ITER", cap)
+        mp.setattr(pa, "_PGA_BATCH_ENTRIES", entries)
+        mp.setattr(pa, "_PGA_MAX_BATCH", max_batch)
+        omega, phi, trials = pa._polish(lanes, lane_of, lam, seeds)
+    want_omega, want_phi, want_trials = sequential_polish(lanes, lane_of, lam, seeds,
+                                                          max_iter=cap)
+    assert omega.tobytes() == want_omega.tobytes()
+    assert phi.tobytes() == want_phi.tobytes()
+    assert trials.tolist() == want_trials.tolist()
 
 
 @settings(max_examples=12, deadline=None)
