@@ -139,11 +139,11 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
 
 
 def normalize(results):
-    """Fill eta = hpe / hpe(EA-FA) on every result; EA-FA must be present."""
+    """Fill eta = hpe / hpe(EA-FA), None if that is 0; EA-FA must be present."""
     ref = next((r for r in results if r.method == "EA-FA"), None)
     if ref is None:
         raise ValueError("normalization requires an EA-FA result")
     for r in results:
-        r.eta = r.hpe / ref.hpe
+        r.eta = r.hpe / ref.hpe if ref.hpe > 0 else None
     return results
 

@@ -149,10 +149,10 @@ def sub_array_center(geom, s):
 
 
 def fraunhofer_distance(geom):
-    """Fraunhofer array distance d_f = 2 D^2 (S Ns) / lambda."""
+    """Fraunhofer array distance d_f = 2 D^2 (S Ns) / lambda; inf past the float range."""
     return (
         2.0
-        * geom.element_size**2
+        * (geom.element_size * geom.element_size)
         * (geom.n_sub * geom.n_elements)
         / geom.wavelength
     )

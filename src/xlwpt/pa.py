@@ -20,11 +20,11 @@ is, or none for the uniform split: only the lane core projects a start.
 Every loop retires its stopped lanes with ``Lanes.take``, and every
 projection goes through ``Lanes.project``, which masks with
 ``Lanes.allowed``, a lane's active rows restricted to the users some
-active row reaches: starts, the DR loop's consumption prox, DR
-candidates and polish trials. A user no active sub-array reaches is thus
-given no power: the start projections zero its entries, and the
-operators keep them zero (its harvest matrix is 0, its consumption-prox
-input <= 0 and its polish gradient 0).
+active row reaches: starts, DR candidates and polish trials. So a user
+no active sub-array reaches is given no power. The DR loop runs the two
+public prox operators: ``prox_consumption`` is a lane projection of a
+shifted point, and ``prox_neg_harvest`` solves a ``harvest_system`` that
+the loop rebuilds only when the prox step shrinks.
 
 The polish tries one step per lane and pass while every lane accepts.
 After a rejection, a pass tries each lane's next halvings together, from
@@ -135,16 +135,6 @@ def quadratic_sup(quad):
     return np.maximum(lam, 0.0)
 
 
-def _consumption_parts(a_tilde, power_cfg, n_users, n_elements):
-    """Per-entry transmit slope and fixed circuit power of P_c, per lane."""
-    a_tilde = np.asarray(a_tilde, float)
-    slope = (a_tilde / power_cfg.varsigma)[..., :, None]
-    fixed = (np.sum(a_tilde * (2.0 * power_cfg.p_syn + n_elements * power_cfg.p_ct),
-                    axis=-1)
-             + n_users * power_cfg.p_cr)
-    return slope, fixed
-
-
 def project_feasible(omega_raw, p_sub, active):
     """Project onto the PA feasible set; leading axes are lanes.
 
@@ -167,48 +157,6 @@ def project_feasible(omega_raw, p_sub, active):
     return omega
 
 
-def prox_consumption(z, lam, gamma, power_cfg, a_tilde, n_elements):
-    """Prox of gamma * lambda * P_c plus the feasible-set indicator.
-
-    P_c is affine in omega with per-entry slope a~_s / varsigma, so the prox
-    is the feasibility projection of the linearly shifted point. ``lam``
-    and ``gamma`` are scalars or one value per lane.
-    """
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    z = np.asarray(z, dtype=float)
-    slope, _ = _consumption_parts(a_tilde, power_cfg, z.shape[-1], n_elements)
-    shifted = z - np.asarray(gamma * lam)[..., None, None] * slope
-    return project_feasible(shifted, power_cfg.p_sub(n_elements), a_tilde > 0)
-
-
-def _harvest_matrix(gamma, quad):
-    """I - 2 gamma A per lane and user: the harvest prox's linear system."""
-    return (np.eye(quad.shape[-1])
-            - np.asarray(2.0 * gamma)[..., None, None, None] * quad)
-
-
-def _harvest_prox(v, lhs):
-    """The harvest prox at v given its system ``lhs`` from ``_harvest_matrix``.
-
-    Solves lhs q = sqrt(v) per user and squares back.
-    """
-    q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
-    q = np.linalg.solve(lhs, np.swapaxes(q0, -1, -2)[..., None])[..., 0]
-    if not np.all(np.isfinite(q)):
-        raise SolverFault("harvest prox produced non-finite iterates")
-    return np.swapaxes(q, -1, -2)**2
-
-
-def prox_neg_harvest(v, gamma, quad):
-    """Prox of -gamma * I(., a~) at v via the q = sqrt(omega) substitution.
-
-    ``quad`` holds the per-user matrices of ``build_quadratic``. Solves
-    (Id - 2 gamma A) q = sqrt(v) per user and squares back; the caller
-    keeps 2 gamma lambda_max(A) < 1 so that the solve stays definite.
-    """
-    return _harvest_prox(v, _harvest_matrix(gamma, quad))
-
-
 @dataclass
 class Lanes:
     """Fixed data of B PA problems on one channel set, one row per lane."""
@@ -229,8 +177,11 @@ class Lanes:
         # frees the complex buffer that the real view would keep alive
         quad = np.moveaxis(np.ascontiguousarray(
             np.moveaxis(build_quadratic(ch, a_tilde), 1, -1)), -1, 1)
-        slope, fixed = _consumption_parts(a_tilde, power_cfg, ch.n_users,
-                                          ch.n_elements)
+        # P_c is affine in omega: a per-entry slope plus the circuit power
+        slope = (a_tilde / power_cfg.varsigma)[..., :, None]
+        fixed = (np.sum(a_tilde * (2.0 * power_cfg.p_syn
+                                   + ch.n_elements * power_cfg.p_ct), axis=-1)
+                 + ch.n_users * power_cfg.p_cr)
         reached = (a_tilde[:, :, None] * ch.norms).max(axis=1) > 0.0
         allowed = (a_tilde > 0)[:, :, None] & reached[:, None, :]
         return cls(a_tilde, allowed, quad, quadratic_sup(quad), slope, fixed,
@@ -255,6 +206,36 @@ class Lanes:
         if omega.ndim > allowed.ndim:
             allowed = np.broadcast_to(allowed, omega.shape)
         return project_feasible(omega, self.p_sub, allowed)
+
+
+def prox_consumption(lanes, z, step):
+    """Prox of step * P_c plus each lane's feasible-set indicator.
+
+    P_c is affine in omega with per-entry slope ``lanes.slope``, so the
+    prox is the lane projection of the linearly shifted point. ``z`` is
+    (B, S, M) and ``step`` holds gamma * lambda per lane.
+    """
+    return lanes.project(z - np.asarray(step)[..., None, None] * lanes.slope)
+
+
+def harvest_system(gamma, quad):
+    """I - 2 gamma A per lane and user, A from ``build_quadratic``."""
+    return (np.eye(quad.shape[-1])
+            - np.asarray(2.0 * gamma)[..., None, None, None] * quad)
+
+
+def prox_neg_harvest(v, system):
+    """Prox of -gamma * I(., a~) at v via the q = sqrt(omega) substitution.
+
+    Solves ``system`` q = sqrt(v) per user, ``system`` being
+    ``harvest_system(gamma, quad)``, and squares back; the caller keeps
+    2 gamma lambda_max(A) < 1 so that the solve stays definite.
+    """
+    q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
+    q = np.linalg.solve(system, np.swapaxes(q0, -1, -2)[..., None])[..., 0]
+    if not np.all(np.isfinite(q)):
+        raise SolverFault("harvest prox produced non-finite iterates")
+    return np.swapaxes(q, -1, -2)**2
 
 
 def _polish(lanes, lane_of, lam, seeds):
@@ -358,10 +339,10 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
     iters_out = np.empty(n, dtype=int)
     run = np.arange(n)
     z = start.copy()
-    step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
+    step, system = gamma * lam, harvest_system(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
-        x = lanes.project(z - step[:, None, None] * lanes.slope)
-        y = _harvest_prox(2.0 * x - z, lhs)
+        x = prox_consumption(lanes, z, step)
+        y = prox_neg_harvest(2.0 * x - z, system)
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
         f = (y - x).reshape(len(run), 1, -1)
         residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
@@ -374,8 +355,8 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
             x_out[fin], residual_out[fin] = x[done], residual[done]
             iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
             keep = np.flatnonzero(~done)
-            run, x, y, z, residual, lam, gamma, step, lhs = (
-                a[keep] for a in (run, x, y, z, residual, lam, gamma, step, lhs))
+            run, x, y, z, residual, lam, gamma, step, system = (
+                a[keep] for a in (run, x, y, z, residual, lam, gamma, step, system))
             if not len(run):
                 break
             lanes = lanes.take(keep)
@@ -383,7 +364,7 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
         if (u + 1) % _SHRINK_EVERY == 0:
             gamma = gamma * _SHRINK
             z = x
-            step, lhs = gamma * lam, _harvest_matrix(gamma, lanes.quad)
+            step, system = gamma * lam, harvest_system(gamma, lanes.quad)
     x_out[run], residual_out[run] = x, residual
     iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
     return x_out, residual_out, iters_out, gamma_out

@@ -15,8 +15,10 @@ from oracles import grid_oracle
 from xlwpt.bench import bench_timing, emit_powermap, run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set, radiation_pattern
 from xlwpt.pa import (
+    Lanes,
     PAConfig,
     build_quadratic,
+    harvest_system,
     pa_solve,
     prox_consumption,
     prox_neg_harvest,
@@ -167,13 +169,13 @@ class TestCriterion5SolverInvariants:
                  % (worst_res, monotone, worst_dr))
 
 
-def _tiny_channels(n_sub, seed):
-    geom = ArrayGeometry(n_sub=n_sub, nx=8, ny=2, d=0.05, wavelength=0.1,
+def _tiny_channels(n_sub, seed, n_users=1, nx=8, ny=2):
+    geom = ArrayGeometry(n_sub=n_sub, nx=nx, ny=ny, d=0.05, wavelength=0.1,
                          element_size=0.025, boresight_exp=2)
     rng = np.random.default_rng(seed)
-    user = UserPosition(x=rng.uniform(-0.2, 0.2), y=rng.uniform(-0.05, 0.05),
-                        z=rng.uniform(0.4, 0.8))
-    return build_channel_set(geom, [user])
+    users = [UserPosition(x=rng.uniform(-0.2, 0.2), y=rng.uniform(-0.05, 0.05),
+                          z=rng.uniform(0.4, 0.8)) for _ in range(n_users)]
+    return build_channel_set(geom, users)
 
 
 def _refine_2d(objective, cap, rounds=7, pts=41):
@@ -216,12 +218,17 @@ class TestCriterion6OracleEquivalence:
         rng = np.random.default_rng(99)
         n_elements = 4
         p_sub = cfg.p_sub(n_elements)
+        # the solver's one-lane stack on one sub-array of 2 x 2 elements
+        # that reaches both users
+        lanes = Lanes.build(_tiny_channels(1, seed=51, n_users=2, nx=2, ny=2),
+                            np.ones((1, 1)), cfg)
+        assert lanes.allowed.all() and lanes.p_sub == p_sub
         worst_cons = 0.0
         for _ in range(100):
             z = rng.normal(0.1, 0.1, size=(1, 2))
             lam = rng.uniform(1e-4, 0.05)
             gamma = rng.uniform(0.5, 5.0)
-            x = prox_consumption(z, lam, gamma, cfg, np.array([1.0]), n_elements)
+            x = prox_consumption(lanes, z[None], gamma * lam)[0]
 
             def objective(w1, w2):
                 return (gamma * lam * (w1 + w2) / cfg.varsigma
@@ -237,7 +244,7 @@ class TestCriterion6OracleEquivalence:
         for _ in range(100):
             v = np.array([[rng.uniform(0.0, 0.2)]])
             gamma = rng.uniform(0.05, 0.35) / A
-            out = prox_neg_harvest(v, gamma, quad)
+            out = prox_neg_harvest(v, harvest_system(gamma, quad))
             q0 = np.sqrt(v[0, 0])
             lo, hi = 0.0, 3.0 * (q0 + 0.1) / (1.0 - 2.0 * gamma * A)
             for _ in range(9):

@@ -232,6 +232,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([pa_fa(ch, PAConfig(), PowerConfig())])
 
+    def test_zero_reference_leaves_eta_none(self):
+        results = [baselines.MethodResult(method, 0.0, 1, 0.0, None)
+                   for method in ("EA-FA", "PA-FA")]
+        normalize(results)
+        assert [r.eta for r in results] == [None, None]
+
 
 class TestResultsCSV:
     def test_header_and_rows(self, tmp_path):

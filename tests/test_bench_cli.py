@@ -666,6 +666,19 @@ class TestCLI:
         assert code == 1
         assert "FAULT" in capsys.readouterr().err
 
+    def test_zero_reference_hpe_leaves_eta_empty(self, tmp_path, capsys):
+        # a huge boresight exponent underflows every channel norm to 0, so
+        # EA-FA's HPE is 0 and no method has an eta
+        out = tmp_path / "o"
+        code = main(["solve", "--set", "geometry.b=1000000", "--set", "geometry.S=3",
+                     "--out", str(out)])
+        assert code == 0
+        assert "eta=" not in capsys.readouterr().out
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["method"] for r in rows} == {"EA-FA", "PA-FA", "PA-SA", "PA-ES"}
+        assert all(r["hpe"] == "0" and r["eta"] == "" for r in rows)
+
     @pytest.mark.parametrize("overrides", [
         ['solver.lambda0="abc"'], ['geometry.S="4"'], ["geometry=[]"],
         ["geometry=[]", "geometry.S=4"]])

@@ -1,10 +1,12 @@
 """Module-layout rules of the package.
 
-Checked on its source with ``ast``: every import sits at module level, and
-no module reaches into another xlwpt module for a ``_private`` name, by
-import or by attribute. Checked in a fresh interpreter: importing the
-package starts no thread. Checked on the package: ``__all__`` lists each
-exported name once, and ``from xlwpt import *`` binds exactly those names.
+Checked on its source with ``ast``: every import sits at module level, no
+module reaches into another xlwpt module for a ``_private`` name, by
+import or by attribute, and every public top-level function or class is
+exported or used by the package or its demos, so no test-only API sits in
+the package. Checked in a fresh interpreter: importing the package starts
+no thread. Checked on the package: ``__all__`` lists each exported name
+once, and ``from xlwpt import *`` binds exactly those names.
 """
 
 import ast
@@ -17,8 +19,10 @@ import pytest
 
 import xlwpt
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "xlwpt"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "xlwpt"
 MODULES = sorted(SRC.glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def parse(path):
@@ -74,6 +78,33 @@ def test_no_private_name_from_another_module(path):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def referenced_names(node):
+    """Every name ``node`` reads, as a bare name, an attribute or an import."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a definition's own body does not count as a use of it
+    defined, used = [], set(xlwpt.__all__)
+    for path in MODULES:
+        for node in parse(path).body:
+            name = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                defined.append((path.name, name))
+            used |= referenced_names(node) - {name}
+    for path in DEMOS:
+        used |= referenced_names(parse(path))
+    assert [d for d in defined if d[1] not in used] == []
 
 
 def test_star_import_binds_the_export_list_once():

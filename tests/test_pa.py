@@ -16,6 +16,7 @@ from xlwpt.pa import (
     SolverFault,
     build_quadratic,
     dr_solve,
+    harvest_system,
     pa_solve,
     project_feasible,
     prox_consumption,
@@ -215,49 +216,45 @@ class TestPolishBatching:
         assert info["pga_seed"] == trace.states[0].pga_seed
 
 
-def oracle_dr_loop(ch, power_cfg):
+def oracle_dr_loop(stack, lam, gamma, start, pa_cfg):
     """The DR loop as first written, for ``pa._dr_loop``'s signature.
 
-    It calls both public prox operators on every iteration and checks
+    It builds the harvest prox's system on every iteration and checks
     every 10 iterations for a stall against the window's best residual.
     """
-
-    def loop(stack, lam, gamma, start, pa_cfg):
-        n = len(lam)
-        x_out = np.empty_like(start)
-        residual_out, gamma_out = np.empty(n), np.empty(n)
-        iters_out = np.empty(n, dtype=int)
-        run = np.arange(n)
-        z = start.copy()
-        window_best = np.full(n, np.inf)
-        for u in range(pa_cfg.max_dr):
-            x = prox_consumption(z, lam, gamma, power_cfg, stack.a_tilde, ch.n_elements)
-            y = prox_neg_harvest(2.0 * x - z, gamma, stack.quad)
-            f = (y - x).reshape(len(run), 1, -1)
-            residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
-            done = residual <= pa_cfg.dr_residual_tol
-            if done.any():
-                fin = run[done]
-                x_out[fin], residual_out[fin] = x[done], residual[done]
-                iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
-                keep = np.flatnonzero(~done)
-                run, x, y, z, residual, window_best, lam, gamma = (
-                    a[keep] for a in (run, x, y, z, residual, window_best, lam, gamma))
-                if not len(run):
-                    break
-                stack = stack.take(keep)
-            z = z + (y - x)
-            window_best = np.minimum(window_best, residual)
-            if (u + 1) % 10 == 0:
-                stall = residual > 0.5 * window_best
-                gamma = np.where(stall, gamma * 0.25, gamma)
-                z = np.where(stall[:, None, None], x, z)
-                window_best = residual
-        x_out[run], residual_out[run] = x, residual
-        iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
-        return x_out, residual_out, iters_out, gamma_out
-
-    return loop
+    n = len(lam)
+    x_out = np.empty_like(start)
+    residual_out, gamma_out = np.empty(n), np.empty(n)
+    iters_out = np.empty(n, dtype=int)
+    run = np.arange(n)
+    z = start.copy()
+    window_best = np.full(n, np.inf)
+    for u in range(pa_cfg.max_dr):
+        x = prox_consumption(stack, z, gamma * lam)
+        y = prox_neg_harvest(2.0 * x - z, harvest_system(gamma, stack.quad))
+        f = (y - x).reshape(len(run), 1, -1)
+        residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
+        done = residual <= pa_cfg.dr_residual_tol
+        if done.any():
+            fin = run[done]
+            x_out[fin], residual_out[fin] = x[done], residual[done]
+            iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
+            keep = np.flatnonzero(~done)
+            run, x, y, z, residual, window_best, lam, gamma = (
+                a[keep] for a in (run, x, y, z, residual, window_best, lam, gamma))
+            if not len(run):
+                break
+            stack = stack.take(keep)
+        z = z + (y - x)
+        window_best = np.minimum(window_best, residual)
+        if (u + 1) % 10 == 0:
+            stall = residual > 0.5 * window_best
+            gamma = np.where(stall, gamma * 0.25, gamma)
+            z = np.where(stall[:, None, None], x, z)
+            window_best = residual
+    x_out[run], residual_out[run] = x, residual
+    iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
+    return x_out, residual_out, iters_out, gamma_out
 
 
 class TestDRLoopOracle:
@@ -279,7 +276,7 @@ class TestDRLoopOracle:
             return pa.dr_step(stack, lam, gamma, omega0, pa_cfg)
 
         omega, info = step()
-        monkeypatch.setattr(pa, "_dr_loop", oracle_dr_loop(ch, power_cfg))
+        monkeypatch.setattr(pa, "_dr_loop", oracle_dr_loop)
         want_omega, want_info = step()
         assert omega.tobytes() == want_omega.tobytes()
         for key in want_info:
@@ -333,6 +330,52 @@ class TestDeadUsers:
                                        None if omega0 is None else warm)
                 assert omega[i].tobytes() == want.tobytes()
                 assert log.trace(i).lambda_trace == trace.lambda_trace
+
+    def test_operators_give_unreached_user_nothing(self):
+        # the consumption prox masks with Lanes.allowed, not with a~ > 0
+        # alone: the user's shifted entries stay positive on active rows
+        ch, pa_cfg, power_cfg = self.channels(), PAConfig(), PowerConfig()
+        lanes = pa.Lanes.build(ch, self.MASKS, power_cfg)
+        assert not lanes.allowed[:, :, self.USER].any()
+        z = np.stack([self.warm_start(ch, power_cfg)] * len(self.MASKS))
+        step = np.full(len(self.MASKS), 1e-3)
+        shifted = z - step[:, None, None] * lanes.slope
+        assert np.all(shifted[self.MASKS > 0][:, self.USER] > 0)
+        x = prox_consumption(lanes, z, step)
+        assert np.all(x[:, :, self.USER] == 0.0)
+        assert np.any(x[:, :, 1 - self.USER] > 0)
+        lam = np.full(len(self.MASKS), 1e-3)
+        gamma = pa.initial_gamma(lanes.lam_max, pa_cfg)
+        omega, _ = pa.dr_step(lanes, lam, gamma, z, pa_cfg)
+        assert np.all(omega[:, :, self.USER] == 0.0)
+
+
+def test_dr_step_runs_the_public_proxes(monkeypatch):
+    # one call of each prox per DR stack-iteration, whose count is the
+    # largest per-lane DR iteration count
+    _, ch = make_channels(n_sub=3, n_users=2, seed=3)
+    pa_cfg, power_cfg = PAConfig(), PowerConfig()
+    masks = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    lanes = pa.Lanes.build(ch, masks, power_cfg)
+    calls = {"prox_consumption": 0, "prox_neg_harvest": 0}
+
+    def counting(name):
+        fn = getattr(pa, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pa, name, counting(name))
+    omega0 = np.broadcast_to(uniform_split(ch, power_cfg), lanes.allowed.shape)
+    _, info = pa.dr_step(lanes, np.full(3, 1e-3),
+                         pa.initial_gamma(lanes.lam_max, pa_cfg), omega0, pa_cfg)
+    stack_iterations = info["dr_iterations"].max()
+    assert stack_iterations > 1
+    assert calls == {"prox_consumption": stack_iterations,
+                     "prox_neg_harvest": stack_iterations}
 
 
 class TestSolverChecks:
@@ -398,7 +441,10 @@ class TestProxConsumption:
         a_tilde = np.array([1.0, 0.5])
         z = rng.normal(0.2, 0.3, size=(2, 2))
         lam, gamma = 0.004, 3.0
-        x = prox_consumption(z, lam, gamma, cfg, a_tilde, n_elements)
+        _, ch = make_channels(n_sub=2, n_users=2)
+        assert ch.n_elements == n_elements
+        lanes = pa.Lanes.build(ch, a_tilde[None], cfg)
+        x = prox_consumption(lanes, z[None], gamma * lam)[0]
         p_sub = cfg.p_sub(n_elements)
         target = z - gamma * lam * (a_tilde / cfg.varsigma)[:, None]
         for _ in range(60):
@@ -413,7 +459,10 @@ class TestProxConsumption:
         a_tilde = np.array([1.0])
         z = np.array([[0.18, 0.12]])
         lam, gamma = 0.02, 2.5
-        x = prox_consumption(z, lam, gamma, cfg, a_tilde, n_elements)
+        _, ch = make_channels(n_sub=1, n_users=2, nx=2, ny=2)
+        assert ch.n_elements == n_elements
+        lanes = pa.Lanes.build(ch, a_tilde[None], cfg)
+        x = prox_consumption(lanes, z[None], gamma * lam)[0]
 
         def objective(w):
             pc_var = w.sum() / cfg.varsigma
@@ -447,7 +496,7 @@ class TestProxNegHarvest:
         quad = build_quadratic(ch, a_tilde)
         gamma = 0.2 / quadratic_sup(quad[None])[0]
         v = np.full((2, 2), 0.05)
-        out = prox_neg_harvest(v, gamma, quad)
+        out = prox_neg_harvest(v, harvest_system(gamma, quad))
         q = np.sqrt(out)
         q0 = np.sqrt(v)
         grad = q - q0 - 2.0 * gamma * np.einsum("mst,tm->sm", quad, q)
@@ -461,7 +510,7 @@ class TestProxNegHarvest:
         A = float(quad[0, 0, 0])
         gamma = 0.3 / A
         v = np.array([[0.09]])
-        out = prox_neg_harvest(v, gamma, quad)
+        out = prox_neg_harvest(v, harvest_system(gamma, quad))
         q0 = 0.3
 
         def obj(q):

@@ -12,8 +12,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from oracles import sequential_polish  # noqa: E402
 from test_power import harvested_power_oracle, small_channel_set  # noqa: E402
 from xlwpt import pa  # noqa: E402
+from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set  # noqa: E402
 from xlwpt.pa import (  # noqa: E402
     PAConfig,
+    harvest_system,
     project_feasible,
     prox_consumption,
     prox_neg_harvest,
@@ -91,7 +93,7 @@ def harvest_stacks(draw):
 @given(harvest_stacks())
 def test_harvest_prox_solves_its_system(stack):
     v, gamma, quad = stack
-    q = np.sqrt(prox_neg_harvest(v, gamma, quad))
+    q = np.sqrt(prox_neg_harvest(v, harvest_system(gamma, quad)))
     lhs = np.eye(quad.shape[-1]) - 2.0 * gamma[:, None, None, None] * quad
     # (B, M, S) columns: (I - 2 gamma A_m) q_m against sqrt(v_m)
     got = np.einsum("bmst,btm->bms", lhs, q)
@@ -125,16 +127,30 @@ def consumption_stacks(draw):
     return z, lam, gamma, a_tilde, n_elements, omega
 
 
+def lanes_on(a_tilde, n_users, n_elements, cfg):
+    """The solver's lane stack for ``a_tilde`` on sub-arrays of n_elements x 1
+    elements, with users in front of the array."""
+    geom = ArrayGeometry(n_sub=a_tilde.shape[-1], nx=n_elements, ny=1, d=0.05,
+                         wavelength=0.1, element_size=0.025, boresight_exp=2)
+    users = [UserPosition(x=0.1 * m, y=0.0, z=0.6) for m in range(n_users)]
+    return pa.Lanes.build(build_channel_set(geom, users), a_tilde, cfg)
+
+
 @settings(max_examples=80, deadline=None)
 @given(consumption_stacks())
 def test_consumption_prox_meets_its_optimality_condition(stack):
     # p = prox(z) iff <z - gamma lam slope - p, omega - p> <= 0 for every
-    # feasible omega: p is the projection of the shifted point
+    # omega in the lane's feasible set: p is the projection of the shifted
+    # point. That set also drops users whose a~ * norm underflows to 0 on
+    # every active row, so the drawn points are masked with it.
     z, lam, gamma, a_tilde, n_elements, omega = stack
     cfg = PowerConfig()
-    p = prox_consumption(z, lam, gamma, cfg, a_tilde, n_elements)
+    lanes = lanes_on(a_tilde, z.shape[-1], n_elements, cfg)
+    omega = omega * lanes.allowed
+    p = prox_consumption(lanes, z, gamma * lam)
     shifted = z - (gamma * lam)[:, None, None] * (a_tilde / cfg.varsigma)[..., None]
     assert np.all(p >= 0.0) and np.all(p[a_tilde == 0] == 0.0)
+    assert np.all(p[~lanes.allowed] == 0.0)
     assert np.all(p.sum(axis=-1) <= cfg.p_sub(n_elements) * (1 + 1e-12))
     inner = np.sum((shifted - p) * (omega - p), axis=(-2, -1))
     scale = 1.0 + np.abs(shifted).sum(axis=(-2, -1)) * cfg.p_sub(n_elements)
