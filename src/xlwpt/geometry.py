@@ -309,4 +309,6 @@ def build_channel_set(geom, users, amplitude_model="center"):
     nz = norms > 0
     kappa[nz] = 1.0 / norms[nz]
     gram = np.einsum("ski,smi->skm", g, np.conj(g))
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("channel synthesis overflowed: the channels are not finite")
     return ChannelSet(g=g, norms=norms, kappa=kappa, gram=gram)

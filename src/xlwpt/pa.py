@@ -13,7 +13,9 @@ sizes and stopping rules, leaves the working arrays when it stops, and
 repeats the arithmetic of a one-lane solve exactly, so it gives the bits
 of a one-lane call: ``pa_solve`` and ``dr_solve`` are one-lane calls,
 PA-ES solves its subsets as stacks, and ``baselines.opening_lanes``
-stacks PA-FA with PA-SA's first PA solve.
+stacks PA-FA with PA-SA's first PA solve. The projection runs over the
+user columns and the polish gradient as a stacked matmul, each summing
+left to right as a short row ``sum`` or the einsum would.
 
 A lane stack carries its feasible set, and callers pass a start as it
 is, or none for the uniform split: only the lane core projects a start.
@@ -142,18 +144,34 @@ def project_feasible(omega_raw, p_sub, active):
     row onto its capped simplex with the sort-based rule (Duchi et al.
     2008). No total budget is needed: P_t = S * P_s, so the row caps imply
     it for any activation; ``AllocationState.validate`` still checks it.
+    Row sums, prefix sums and the threshold pick run over the user columns,
+    left to right, as NumPy's row ``sum`` adds fewer than 8 entries; rows
+    of M >= 8 keep ``sum``, which adds them in interleaved partial sums.
     """
     active = np.asarray(active, dtype=bool)
     omega = np.maximum(np.asarray(omega_raw, dtype=float), 0.0)
     omega[~active] = 0.0
-    over = omega.sum(axis=-1) > p_sub
+    n = omega.shape[-1]
+    if n < 8:
+        total = omega[..., 0]
+        for j in range(1, n):
+            total = total + omega[..., j]
+    else:
+        total = omega.sum(axis=-1)
+    over = total > p_sub
     if over.any():
         v = omega[over]
         u = np.sort(v, axis=-1)[:, ::-1]
-        tau = (np.cumsum(u, axis=-1) - p_sub) / np.arange(1, v.shape[-1] + 1)
-        # the last k with u_k > tau_k keeps coordinate k active
-        k = v.shape[-1] - 1 - np.argmax((tau < u)[:, ::-1], axis=-1)
-        omega[over] = np.maximum(v - tau[np.arange(len(v)), k][:, None], 0.0)
+        prefix = u.copy()
+        for k in range(1, n):
+            prefix[:, k] += prefix[:, k - 1]
+        tau = (prefix - p_sub) / np.arange(1, n + 1)
+        keep = tau < u
+        # tau_k of the last k with u_k > tau_k; tau_M when none is (inf and NaN rows)
+        theta = tau[:, -1]
+        for k in range(n):
+            theta = np.where(keep[:, k], tau[:, k], theta)
+        omega[over] = np.maximum(v - theta[:, None], 0.0)
     return omega
 
 
@@ -172,9 +190,9 @@ class Lanes:
     @classmethod
     def build(cls, ch, a_tilde, power_cfg):
         # a (B, M, S, S) view of a C-contiguous (B, S, S, M) array: the
-        # einsum output's memory order, in which the harvest einsums sum,
-        # and one whose lanes ``take`` gathers in one copy; the copy also
-        # frees the complex buffer that the real view would keep alive
+        # einsum output's memory order, in which the harvest value's einsum
+        # and the one-user gradient sum, and one whose lanes ``take`` gathers
+        # in one copy; the copy frees the complex buffer of the real view
         quad = np.moveaxis(np.ascontiguousarray(
             np.moveaxis(build_quadratic(ch, a_tilde), 1, -1)), -1, 1)
         # P_c is affine in omega: a per-entry slope plus the circuit power
@@ -188,13 +206,12 @@ class Lanes:
                    power_cfg.p_sub(ch.n_elements))
 
     def take(self, idx):
-        """The lanes at ``idx``.
+        """The lanes at ``idx``, the harvest matrices in their memory order.
 
-        The harvest matrices keep their memory order: the einsum of the
-        harvest value sums in stride order, so another order would change
-        its last bits. They are gathered along the leading axis of the
-        contiguous array, in one copy: a gather into the strided
-        (B, M, S, S) view would also copy the source and buffer the output.
+        The harvest value's einsum and the one-user gradient sum in stride
+        order. The gather runs along the leading axis of the contiguous
+        array, in one copy: one into the strided (B, M, S, S) view would
+        also copy the source and buffer the output.
         """
         quad = np.moveaxis(np.moveaxis(self.quad, 1, -1)[idx], -1, 1)
         return Lanes(self.a_tilde[idx], self.allowed[idx], quad, self.lam_max[idx],
@@ -236,6 +253,17 @@ def prox_neg_harvest(v, system):
     if not np.all(np.isfinite(q)):
         raise SolverFault("harvest prox produced non-finite iterates")
     return np.swapaxes(q, -1, -2)**2
+
+
+def _harvest_grad(quad, q):
+    """sum_t A[b, m, s, t] q[b, t, m] with the bits and C layout of the einsum."""
+    if q.shape[-1] == 1:
+        # a one-user matmul would call BLAS gemv, which sums in another order
+        return np.einsum("bmst,btm->bsm", quad, q)
+    # no matrix row is contiguous, so NumPy's no-BLAS loop adds over t in order
+    grad = np.empty(q.shape)
+    np.matmul(quad, q.swapaxes(1, 2)[..., None], out=grad.swapaxes(1, 2)[..., None])
+    return grad
 
 
 def _polish(lanes, lane_of, lam, seeds):
@@ -281,7 +309,7 @@ def _polish(lanes, lane_of, lam, seeds):
     counts = np.arange(1, _PGA_MAX_BATCH + 1)[:, None]
     k = 1
     while True:
-        grad = (2.0 * np.einsum("bmst,btm->bsm", work.quad, q)
+        grad = (2.0 * _harvest_grad(work.quad, q)
                 - (2.0 * lam)[:, None, None] * work.slope * q)
         steps = step if k == 1 else step * ladder[:k]
         trial_q = np.maximum(q + steps[..., None, None] * grad, 0.0)

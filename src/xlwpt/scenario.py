@@ -79,6 +79,11 @@ class ScenarioConfig:
                 raise ValueError("each user position needs four numbers "
                                  "[x, y, z, vr]")
             self.users()  # UserPosition rejects an invalid row
+        n_users = len(self.positions) if self.positions else self.clusters.count
+        p, n_el = self.power, self.nx * self.ny
+        if not math.isfinite(p.p_total(self.n_sub, n_el) / p.varsigma + n_users * p.p_cr
+                             + self.n_sub * (2.0 * p.p_syn + n_el * p.p_ct)):
+            raise ValueError("the power constants overflow the full array's P_c at P_t")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.es_cap < 1:
@@ -246,7 +251,8 @@ def _build(cls, assigned, **nested):
             make(key)
         except (TypeError, ValueError):
             bad.append(key)
-    raise ConfigError("%s: %s" % (", ".join(bad or assigned), error)) from error
+    names = ", ".join(bad or assigned)
+    raise ConfigError("%s: %s" % (names, error) if names else str(error)) from error
 
 
 def read_scenario_json(path):

@@ -53,6 +53,36 @@ def grid_oracle(ch, power_cfg, active_set, steps):
     return best
 
 
+def einsum_harvest_grad(quad, q):
+    """The polish's harvest gradient sum_t A[b, m, s, t] q[b, t, m] as an einsum.
+
+    ``quad`` is the (B, M, S, S) view that ``Lanes`` keeps and ``q`` a
+    (B, S, M) stack; ``pa._harvest_grad`` must give its bytes and layout.
+    """
+    return np.einsum("bmst,btm->bsm", quad, q)
+
+
+def sort_projection(omega_raw, p_sub, active):
+    """``pa.project_feasible`` made of row reductions over the user axis.
+
+    The same capped-simplex rule (Duchi et al. 2008) with NumPy's row
+    ``sum``, ``cumsum`` of the descending row and a reversed ``argmax``
+    for the last k with u_k > tau_k (the last index when none is, as in
+    inf and NaN rows); the column kernel must give its bytes.
+    """
+    active = np.asarray(active, dtype=bool)
+    omega = np.maximum(np.asarray(omega_raw, dtype=float), 0.0)
+    omega[~active] = 0.0
+    over = omega.sum(axis=-1) > p_sub
+    if over.any():
+        v = omega[over]
+        u = np.sort(v, axis=-1)[:, ::-1]
+        tau = (np.cumsum(u, axis=-1) - p_sub) / np.arange(1, v.shape[-1] + 1)
+        k = v.shape[-1] - 1 - np.argmax((tau < u)[:, ::-1], axis=-1)
+        omega[over] = np.maximum(v - tau[np.arange(len(v)), k][:, None], 0.0)
+    return omega
+
+
 def sequential_polish(lanes, lane_of, lam, seeds, max_iter=500):
     """``pa._polish`` as one trial per lane and pass, with a shared pass cap.
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -678,6 +679,19 @@ class TestCLI:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {"EA-FA", "PA-FA", "PA-SA", "PA-ES"}
         assert all(r["hpe"] == "0" and r["eta"] == "" for r in rows)
+
+    @pytest.mark.parametrize("flag", ["geometry.d=1e300",
+                                      "power.P_ct=1.7976931348623157e308"])
+    def test_non_finite_scenario_is_invalid_input(self, tmp_path, capsys, flag):
+        # the spacing overflows the channels; the P_ct makes P_c infinite
+        out = tmp_path / "o"
+        small = ["geometry.S=2", "geometry.Nx=4", "geometry.Ny=2", 'methods=["EA-FA"]']
+        flags = [arg for item in [*small, flag] for arg in ("--set", item)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["solve", *flags, "--out", str(out)]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("overrides", [
         ['solver.lambda0="abc"'], ['geometry.S="4"'], ["geometry=[]"],

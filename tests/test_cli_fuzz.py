@@ -80,6 +80,8 @@ def nested(settings_):
 @given(drawn=st.lists(SETTINGS, max_size=4).map(dict))
 @example(drawn={"geometry.b": 1e6})
 @example(drawn={"solver.lambda0": 1e300})
+@example(drawn={"geometry.d": 1e300})
+@example(drawn={"power.P_ct": 1.7976931348623157e308})
 def test_solve_ends_by_contract(tmp_path, drawn):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(nested(drawn)))

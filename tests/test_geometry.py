@@ -266,6 +266,16 @@ class TestChannelSet:
         with pytest.warns(UserWarning, match="boundary"):
             build_channel_set(geom, [UserPosition(0, 0, 5.0)])
 
+    def test_overflowing_channels_rejected(self):
+        # a spacing of 1e300 m overflows the squared element distances, and
+        # the channels come out NaN
+        geom = ArrayGeometry(n_sub=2, nx=4, ny=2, d=1e300, wavelength=0.1,
+                             element_size=0.025, boresight_exp=2)
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(ValueError, match="overflowed"):
+                build_channel_set(geom, [UserPosition(0.1, 0.0, 1.0)])
+        assert any("overflow" in str(w.message) for w in caught)
+
     def test_gram_matches_direct_products(self):
         geom = paper_geometry(2)
         users = [UserPosition(0.4, 0, 1.0, 1), UserPosition(-0.3, 0.1, 1.2, 2)]

@@ -1,15 +1,16 @@
 """Property-based invariants of the feasibility projection, both proxes,
 the harvest lane kernel, the batched polish and the joint
-activation/allocation loop."""
+activation/allocation loop, and the bytes of the lane core's column and
+matmul kernels against the row reductions and einsum they replace."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from oracles import sequential_polish  # noqa: E402
+from oracles import einsum_harvest_grad, sequential_polish, sort_projection  # noqa: E402
 from test_power import harvested_power_oracle, small_channel_set  # noqa: E402
 from xlwpt import pa  # noqa: E402
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set  # noqa: E402
@@ -65,6 +66,62 @@ def test_projection_feasible_idempotent_and_lane_exact(stack):
                         a_tilde=active[lane]).validate(power_cfg, 1)
         want = project_feasible(v[lane], p_sub, active[lane])
         assert got[lane].tobytes() == want.tobytes()
+
+
+# kernel shapes: one user (the einsum path), 8 users and more (the row
+# ``sum`` path) and everything between, drawn more often at the edges
+KERNEL_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 8) | st.just(8),
+                          st.integers(1, 9) | st.sampled_from([1, 8, 9]))
+# inf and NaN rows, and rows where 1e20 swamps P_s: in both no k has u_k > tau_k
+SPECIAL = np.array([np.inf, np.nan, -np.inf, 1e20])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=KERNEL_SHAPES, seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["spread", "ties", "special"]),
+       full_mask=st.booleans(), at_budget=st.booleans())
+# an 8-user row whose pairwise ``sum`` sits at P_s, under its column sum
+@example(shape=(1, 1, 8), seed=48, kind="spread", full_mask=False, at_budget=True)
+def test_projection_keeps_the_bits_of_the_row_reductions(shape, seed, kind, full_mask,
+                                                        at_budget):
+    rng = np.random.default_rng(seed)
+    p_sub = float(rng.uniform(0.05, 2.0))
+    if kind == "ties":
+        # exact ties, zeros of both signs and entries whose rows meet P_s
+        v = rng.choice([0.0, -0.0, -1.0, p_sub / 4, p_sub / 2, p_sub], shape)
+    else:
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+        if kind == "special":
+            v[rng.random(shape) < 0.15] = rng.choice(SPECIAL)
+    if at_budget:
+        # P_s is exactly one row's sum, as NumPy adds it
+        rows = np.maximum(v, 0.0).reshape(-1, shape[-1])
+        row = rows[rng.integers(len(rows))]
+        if 0.0 < row.sum() < np.inf:
+            p_sub = float(row.sum())
+    active = rng.random(shape if full_mask else shape[:-1]) < 0.8
+    with np.errstate(invalid="ignore"):  # inf - inf in inf rows, as before
+        got, want = project_feasible(v, p_sub, active), sort_projection(v, p_sub, active)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=KERNEL_SHAPES, seed=st.integers(0, 2**32 - 1))
+# one user: a stacked matmul would call BLAS gemv, which sums in another order
+@example(shape=(2, 8, 1), seed=0)
+def test_polish_gradient_keeps_the_einsum_bits(shape, seed):
+    rng = np.random.default_rng(seed)
+    n_lanes, n_sub, n_users = shape
+    # the (B, M, S, S) view of a C-contiguous (B, S, S, M) array, as in Lanes
+    quad = np.moveaxis(rng.standard_normal((n_lanes, n_sub, n_sub, n_users))
+                       * 10.0 ** rng.integers(-3, 3, (n_lanes, n_sub, n_sub, n_users)),
+                       -1, 1)
+    q = np.abs(rng.standard_normal(shape))
+    q[rng.random(shape) < 0.2] = 0.0
+    got, want = pa._harvest_grad(quad, q), einsum_harvest_grad(quad, q)
+    # the layout decides the order of later sums over the stack
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite

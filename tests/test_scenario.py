@@ -143,6 +143,16 @@ class TestParsing:
         with pytest.raises(ConfigError):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("power", [{"P_ct": 1.7976931348623157e308}, {"P_et": 1e306},
+                                       {"P_syn": 1e308}, {"P_cr": 1e308},
+                                       {"varsigma": 5e-324}])
+    def test_overflowing_full_array_power_rejected(self, power):
+        # an infinite P_c or P_t leaves no finite ratio to maximize
+        with pytest.raises(ConfigError, match="^the power constants overflow"):
+            scenario_from_dict({"power": power})
+        with pytest.raises(ConfigError, match="the power constants overflow"):
+            scenario_from_dict({"geometry": {"S": 2}, "power": power})
+
     def test_error_names_the_key(self):
         with pytest.raises(ConfigError, match=r"^solver\.max_sa_iters: "):
             scenario_from_dict({"solver": {"max_sa_iters": 0}})
