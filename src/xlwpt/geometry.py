@@ -221,44 +221,86 @@ def as_points(points):
     return pts.reshape(-1, 3)
 
 
+class ChannelKernel:
+    """Near-field channels from all S sub-arrays of one geometry to many points.
+
+    Built once from ``(geom, amplitude_model)``, it holds the element x and
+    y grids, the sub-array centers and the constants. ``kernel(pts)`` maps a
+    (P, 3) array of finite points with z > 0 to their (P, S, Ns) channels,
+    checking only the minimum element distance; ``channels`` checks raw
+    points first, and ``power.power_map`` calls one kernel per probe chunk.
+
+    Entry ``[p, s]`` is ``channel(geom, s, pts[p], amplitude_model)`` with
+    the same per-element arithmetic, except that the center model's
+    reference distance and gain come from array ops where ``channel`` uses
+    a BLAS dot and scalar ``pow`` (1e-15 relative). Squared distances
+    broadcast as ``(dx^2 + dy^2) + dz^2`` over the separable element grid.
+    The phases go into one complex buffer: x = -k r overwrites the
+    distances, ``cos(x)`` and ``sin(x)`` fill its real and imaginary views
+    (the values the C library's complex ``exp`` gives for
+    ``np.exp(-1j * k * r)``), and the amplitude multiplies it in place as a
+    real-times-complex product. The bytes are those of
+    ``amp * sqrt(gain) * np.exp(-1j * k * r)``, without its temporaries.
+    """
+
+    def __init__(self, geom, amplitude_model="center"):
+        if amplitude_model not in AMPLITUDE_MODELS:
+            raise ValueError("unknown amplitude model %r" % amplitude_model)
+        origins = np.array(geom.sub_array_origins)
+        self.ex = origins[:, 0, None] + np.arange(geom.nx) * geom.d     # (S, nx)
+        self.ey = origins[:, 1, None] + np.arange(geom.ny) * geom.d     # (S, ny)
+        # amplitude and angle refer to the sub-array centers or to each element
+        self.centers = (np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
+                        if amplitude_model == "center" else None)
+        self.wavenumber = geom.wavenumber
+        self.wavelength = geom.wavelength
+        self.boresight_exp = geom.boresight_exp
+        self.n_elements = geom.n_elements
+
+    def __call__(self, pts):
+        shape = (len(pts), len(self.ex), self.n_elements)
+        dx2 = (pts[:, 0, None, None] - self.ex) ** 2               # (P, S, nx)
+        dy2 = (pts[:, 1, None, None] - self.ey) ** 2               # (P, S, ny)
+        # element index ix * ny + iy, as in element_positions
+        r_elem = np.add(dx2[..., :, None], dy2[..., None, :]).reshape(shape)
+        r_elem += pts[:, 2, None, None] ** 2
+        np.sqrt(r_elem, out=r_elem)
+        if np.any(r_elem < MIN_USER_DISTANCE):
+            raise ValueError("user position degenerate: within %g m of an element"
+                             % MIN_USER_DISTANCE)
+        if self.centers is not None:
+            r = np.sqrt(np.sum((pts[:, None, :] - self.centers) ** 2, axis=2))[..., None]
+        else:
+            r = r_elem
+        theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
+        amp = self.wavelength / (4.0 * np.pi * r)
+        gain = radiation_pattern(theta, self.boresight_exp)
+        scale = amp * np.sqrt(gain)
+        # x = -k r, the imaginary part of -1j * k * r, in r_elem's buffer
+        x = np.multiply(r_elem, -self.wavenumber, out=r_elem)
+        out = np.empty(shape, dtype=complex)
+        np.cos(x, out=out.real)
+        np.sin(x, out=out.imag)
+        # a real times a complex array, as amp * sqrt(gain) * phase multiplies:
+        # where the gain is 0 the zeros keep the signs that product gives
+        return np.multiply(scale, out, out=out)
+
+
 def channels(geom, points, amplitude_model="center"):
     """Near-field channels from all S sub-arrays to P points, shape (P, S, Ns).
 
-    Entry ``[p, s]`` is ``channel(geom, s, points[p], amplitude_model)``
-    computed with the same per-element arithmetic. The center model's
-    reference distance and pattern gain are computed on arrays where
-    ``channel`` uses a BLAS dot and scalar ``pow``, so its entries can differ
-    from ``channel`` in the last few bits (1e-15 relative). The element grid
-    is separable (x from ``nx``, y from ``ny``, z = 0), so squared distances
-    broadcast as ``(dx^2 + dy^2) + dz^2`` without a (P, S, Ns, 3) temporary.
+    Checks the amplitude model and that every point is finite and in front
+    of the array plane, then runs ``ChannelKernel(geom, amplitude_model)``
+    once on them. The kernel writes cos(-k r) and sin(-k r) into the real
+    and imaginary views of one complex buffer and multiplies the amplitude
+    into it in place, with the bytes of ``amp * sqrt(gain) *
+    np.exp(-1j * k * r)``; see ``ChannelKernel``.
     """
-    if amplitude_model not in AMPLITUDE_MODELS:
-        raise ValueError("unknown amplitude model %r" % amplitude_model)
+    kernel = ChannelKernel(geom, amplitude_model)
     pts = as_points(points)
     if np.any(pts[:, 2] <= 0):
         raise ValueError("user must be in front of the array plane")
-    origins = np.array(geom.sub_array_origins)
-    ex = origins[:, 0, None] + np.arange(geom.nx) * geom.d     # (S, nx)
-    ey = origins[:, 1, None] + np.arange(geom.ny) * geom.d     # (S, ny)
-    dx2 = (pts[:, 0, None, None] - ex) ** 2                    # (P, S, nx)
-    dy2 = (pts[:, 1, None, None] - ey) ** 2                    # (P, S, ny)
-    dz2 = pts[:, 2, None, None, None] ** 2
-    shape = (len(pts), geom.n_sub, geom.n_elements)
-    # element index ix * ny + iy, as in element_positions
-    r_elem = np.sqrt((dx2[..., :, None] + dy2[..., None, :]) + dz2).reshape(shape)
-    if np.any(r_elem < MIN_USER_DISTANCE):
-        raise ValueError("user position degenerate: within %g m of an element"
-                         % MIN_USER_DISTANCE)
-    phase = np.exp(-1j * geom.wavenumber * r_elem)
-    if amplitude_model == "center":
-        centers = np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
-        r = np.sqrt(np.sum((pts[:, None, :] - centers) ** 2, axis=2))[..., None]
-    else:
-        r = r_elem
-    theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
-    amp = geom.wavelength / (4.0 * np.pi * r)
-    gain = radiation_pattern(theta, geom.boresight_exp)
-    return amp * np.sqrt(gain) * phase
+    return kernel(pts)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points, channels
+from .geometry import ChannelKernel, as_points
 
 FEASIBILITY_TOL = 1e-9
 # complex channel entries (probes x S x Ns) synthesized per power-map chunk;
@@ -155,12 +155,18 @@ def power_map(geom, alloc, ch, probes, amplitude_model="center"):
 
     The precoders and power coefficients stay fixed at the values designed
     for the real users; only the receive channel is re-synthesized per probe.
-    The probe chunks split into contiguous blocks, one per CPU this process
-    may run on: the caller fills the first block and one helper thread fills
-    each other one. NumPy releases the GIL inside the chunks' large
-    elementwise loops, and a chunk's arithmetic does not depend on the
-    thread that runs it, so every value has the same bits on any CPU count.
+    One ``ChannelKernel`` built here holds the element grids, sub-array
+    centers and constants of the whole map. The probes are checked once,
+    here; each chunk's kernel call checks only the minimum element
+    distance and makes its phases and amplitudes in one complex buffer,
+    with the bytes of ``geometry.channels``. The probe chunks split into
+    contiguous blocks, one per CPU this process may run on: the caller
+    fills the first block and one helper thread fills each other one.
+    NumPy releases the GIL inside the chunks' large elementwise loops, and
+    a chunk's arithmetic does not depend on the thread that runs it, so
+    every value has the same bits on any CPU count.
     """
+    kernel = ChannelKernel(geom, amplitude_model)
     coef = alloc.a[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
     g_conj = np.conj(ch.g)
     pts = as_points(probes)
@@ -175,7 +181,7 @@ def power_map(geom, alloc, ch, probes, amplitude_model="center"):
         # blocks are disjoint, so no two threads write the same entry of values
         for start in block:
             idx = front[start:start + step]
-            gq = channels(geom, pts[idx], amplitude_model)
+            gq = kernel(pts[idx])
             cross = np.einsum("psi,smi->psm", gq, g_conj)
             t = np.sum(coef * cross, axis=1)
             values[idx] = np.sum(np.abs(t) ** 2, axis=1)

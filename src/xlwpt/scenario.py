@@ -228,29 +228,35 @@ def _flatten(raw, prefix=""):
             raise ConfigError("unknown scenario key %s" % key)
 
 
-def _build(cls, assigned, **nested):
+def _build(cls, assigned, nested=None, nested_keys=()):
     """cls(**nested) plus the fields each JSON key in ``assigned`` sets.
 
     A ValueError or TypeError becomes a ConfigError that names the keys
     rejected on their own, or every given key when only their combination
-    is invalid.
+    is invalid. When every given key is rejected on its own because the
+    nested configs fail without any of them, it names the nested configs'
+    JSON keys ``nested_keys`` instead.
     """
     def make(*keys):
-        kwargs = dict(nested)
+        kwargs = dict(nested or {})
         for key in keys:
             kwargs.update(assigned[key])
         return cls(**kwargs)
+
+    def fails(*keys):
+        try:
+            make(*keys)
+        except (TypeError, ValueError):
+            return True
+        return False
 
     try:
         return make(*assigned)
     except (TypeError, ValueError) as exc:
         error = exc
-    bad = []
-    for key in assigned:
-        try:
-            make(key)
-        except (TypeError, ValueError):
-            bad.append(key)
+    bad = [key for key in assigned if fails(key)]
+    if bad and len(bad) == len(assigned) and nested_keys and fails():
+        bad = list(nested_keys)
     names = ", ".join(bad or assigned)
     raise ConfigError("%s: %s" % (names, error) if names else str(error)) from error
 
@@ -291,4 +297,5 @@ def scenario_from_dict(raw):
             lam["element_size"] = lam["wavelength"] / 4.0
     nested = {owner: _build(cls, assigned[owner])
               for owner, cls in _OWNERS.items() if owner}
-    return _build(ScenarioConfig, assigned[""], **nested)
+    nested_keys = [key for owner in nested for key in assigned[owner]]
+    return _build(ScenarioConfig, assigned[""], nested, nested_keys)

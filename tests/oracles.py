@@ -4,6 +4,12 @@ import itertools
 
 import numpy as np
 
+from xlwpt.geometry import (
+    MIN_USER_DISTANCE,
+    as_points,
+    radiation_pattern,
+    sub_array_center,
+)
 from xlwpt.power import consumed_lanes, harvested_lanes
 
 GRID_ORACLE_MAX_VARS = 4
@@ -51,6 +57,36 @@ def grid_oracle(ch, power_cfg, active_set, steps):
         consumed = consumed_lanes(block, a, power_cfg, n_users, ch.n_elements)
         best = max(best, float(np.max(harvested / consumed)))
     return best
+
+
+def exp_channels(geom, points, amplitude_model="center"):
+    """``geometry.channels`` as a product of complex temporaries.
+
+    Forms the argument ``-1j * k * r``, its ``np.exp`` and the product with
+    the real amplitude as three fresh complex arrays; the in-place kernel
+    must give its bytes, signed zeros included.
+    """
+    pts = as_points(points)
+    origins = np.array(geom.sub_array_origins)
+    ex = origins[:, 0, None] + np.arange(geom.nx) * geom.d
+    ey = origins[:, 1, None] + np.arange(geom.ny) * geom.d
+    dx2 = (pts[:, 0, None, None] - ex) ** 2
+    dy2 = (pts[:, 1, None, None] - ey) ** 2
+    dz2 = pts[:, 2, None, None, None] ** 2
+    shape = (len(pts), geom.n_sub, geom.n_elements)
+    r_elem = np.sqrt((dx2[..., :, None] + dy2[..., None, :]) + dz2).reshape(shape)
+    if np.any(r_elem < MIN_USER_DISTANCE):
+        raise ValueError("user position degenerate")
+    phase = np.exp(-1j * geom.wavenumber * r_elem)
+    if amplitude_model == "center":
+        centers = np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
+        r = np.sqrt(np.sum((pts[:, None, :] - centers) ** 2, axis=2))[..., None]
+    else:
+        r = r_elem
+    theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
+    amp = geom.wavelength / (4.0 * np.pi * r)
+    gain = radiation_pattern(theta, geom.boresight_exp)
+    return amp * np.sqrt(gain) * phase
 
 
 def einsum_harvest_grad(quad, q):

@@ -1,8 +1,11 @@
 """Array layout, radiation pattern and near-field channel tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import exp_channels
 from xlwpt.geometry import (
     ArrayGeometry,
     UserPosition,
@@ -190,6 +193,23 @@ def single_element_case():
     return single_element_geometry(), [(0.0, 0.0, 10.0), (0.4, -0.2, 0.3)]
 
 
+def zero_gain_case():
+    # at b = 2000 the pattern gain underflows to 0 beyond ~46 degrees off
+    # boresight; a zero amplitude times a phase gives zeros whose signs
+    # follow the signs of both phase parts
+    rng = np.random.default_rng(12)
+    points = np.column_stack([rng.uniform(-3, 3, 30), rng.uniform(-1, 1, 30),
+                              rng.uniform(0.05, 1.0, 30)])
+    return replace(paper_geometry(2), boresight_exp=2000.0), points
+
+
+def grazing_single_element_case():
+    rng = np.random.default_rng(13)
+    points = np.column_stack([rng.uniform(-3, 3, 200), rng.uniform(-3, 3, 200),
+                              rng.uniform(1e-3, 3, 200)])
+    return single_element_geometry(), points
+
+
 class TestChannelsKernel:
     @pytest.mark.parametrize("model", ["center", "per_element"])
     @pytest.mark.parametrize("case", [custom_origins_case, boresight_case,
@@ -201,6 +221,23 @@ class TestChannelsKernel:
         assert got.shape == (len(points), geom.n_sub, geom.n_elements)
         np.testing.assert_allclose(got, stacked_channels(geom, points, model),
                                    rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    @pytest.mark.parametrize("case", [custom_origins_case, boresight_case,
+                                      single_element_case, zero_gain_case,
+                                      grazing_single_element_case],
+                             ids=["custom_origins", "boresight", "single_element",
+                                  "zero_gain", "grazing_single_element"])
+    def test_bytes_equal_exp_oracle(self, case, model):
+        geom, points = case()
+        assert (channels(geom, points, model).tobytes()
+                == exp_channels(geom, points, model).tobytes())
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    def test_zero_gain_case_has_zeros_of_both_signs(self, model):
+        got = channels(*zero_gain_case(), model)
+        zero = np.concatenate([got.real[got.real == 0], got.imag[got.imag == 0]])
+        assert np.signbit(zero).any() and not np.signbit(zero).all()
 
     def test_point_behind_plane_rejected(self):
         with pytest.raises(ValueError, match="front"):

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import exp_channels
 from xlwpt import power
 from xlwpt.geometry import (
     MIN_USER_DISTANCE,
@@ -366,6 +367,21 @@ class TestPowerMapChunks:
         probes = self.probes(4 * self.step + 5, seed=1)
         got = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
         assert got.tobytes() == self.one_chunk_maps(probes, model).tobytes()
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    def test_shared_chunks_equal_exp_oracle_raster(self, monkeypatch, model):
+        # 5 chunks over 3 workers against a raster made on the caller alone
+        # from the complex-temporary channels
+        probes = self.probes(4 * self.step + 5, seed=4)
+        probes[[3, self.step + 1], 2] = -0.5
+        with monkeypatch.context() as patch:
+            patch.setattr(power, "ChannelKernel",
+                          lambda geom, model: lambda pts: exp_channels(geom, pts, model))
+            self.report_cpus(patch, 1)
+            want = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
+        self.report_cpus(monkeypatch, 3)
+        got = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chunk", [0, 2], ids=["caller", "helper"])
     def test_degenerate_probe_raises_after_helpers_finish(self, monkeypatch, chunk):

@@ -159,6 +159,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"^users\.clusters\.V, users\.clusters\.count: "):
             scenario_from_dict({"users": {"clusters": {"V": 3, "count": 2}}})
 
+    def test_error_names_the_nested_key_every_retry_trips_on(self):
+        # each top-level key is fine; every retry fails on the power values
+        with pytest.raises(ConfigError, match=r"^power\.P_ct: the power constants overflow"):
+            scenario_from_dict({"geometry": {"S": 2}, "methods": ["EA-FA"],
+                                "power": {"P_ct": 1.7976931348623157e308}})
+        with pytest.raises(ConfigError, match=r"^geometry\.S, methods: "):
+            scenario_from_dict({"geometry": {"S": 0}, "methods": [],
+                                "power": {"P_ct": 1.0}})
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]")
