@@ -169,26 +169,23 @@ def run_methods(cfg, outdir=None):
     return results, faults
 
 
+# the keys of a sweep row and the columns of sweep_raw.csv, which adds the
+# fault message that only a fault row holds
+_SWEEP_COLUMNS = ("variable", "value", "repetition", "method", "hpe", "eta",
+                  "active_count", "active_ratio", "seconds")
+
+
 def _sweep_cell(cell, spec, value, rep):
     results, faults = run_methods(cell)
-    rows = []
-    for r in results:
-        rows.append({
-            "variable": spec.variable,
-            "value": int(value),
-            "repetition": rep,
-            "method": r.method,
-            "hpe": r.hpe,
-            "eta": r.eta,
-            "active_count": r.active_count,
-            "active_ratio": r.active_count / cell.n_sub,
-            "seconds": r.wall_clock,
-        })
+    key = (spec.variable, int(value), rep)
+    rows = [dict(zip(_SWEEP_COLUMNS, key + (r.method, r.hpe, r.eta, r.active_count,
+                                            r.active_count / cell.n_sub, r.wall_clock)))
+            for r in results]
     for method, msg in faults.items():
-        rows.append({"variable": spec.variable, "value": int(value),
-                     "repetition": rep, "method": method, "hpe": None,
-                     "eta": None, "active_count": None, "active_ratio": None,
-                     "seconds": None, "fault": msg})
+        # a fault row leaves the result columns empty
+        row = dict.fromkeys(_SWEEP_COLUMNS)
+        row.update(zip(_SWEEP_COLUMNS, key + (method,)), fault=msg)
+        rows.append(row)
     return rows
 
 
@@ -199,12 +196,10 @@ def sweep(cfg, spec, outdir):
     os.makedirs(outdir, exist_ok=True)
     rows = [row for v, rep, cell in cells for row in _sweep_cell(cell, spec, v, rep)]
 
-    _write_csv(os.path.join(outdir, "sweep_raw.csv"),
-               ["variable", "value", "repetition", "method", "hpe", "eta",
-                "active_count", "active_ratio", "seconds", "fault"],
-               [[row["variable"], row["value"], row["repetition"], row["method"],
-                 row["hpe"], row["eta"], row["active_count"], row["active_ratio"],
-                 _timing(row["seconds"]), row.get("fault")] for row in rows])
+    header = _SWEEP_COLUMNS + ("fault",)
+    _write_csv(os.path.join(outdir, "sweep_raw.csv"), header,
+               [[_timing(row[col]) if col == "seconds" else row.get(col)
+                 for col in header] for row in rows])
 
     _emit_aggregate(rows, spec, outdir, "eta", "eta_vs_%s.csv" % spec.variable)
     _emit_aggregate(rows, spec, outdir, "active_ratio",
@@ -264,8 +259,7 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
     fixed = np.full(uu.shape, float(offset))
     probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
                        "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
-    values = power_map(geom, alloc, ch, probes,
-                       amplitude_model=cfg.amplitude_model)
+    values = power_map(alloc, ch, probes)
     _write_csv(path, ["%s_m" % axis for axis in plane] + ["watts"],
                zip(uu.ravel().tolist(), vv.ravel().tolist(), values.tolist()))
     return values.reshape(uu.shape)

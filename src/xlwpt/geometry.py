@@ -228,7 +228,7 @@ class ChannelKernel:
     y grids, the sub-array centers and the constants. ``kernel(pts)`` maps a
     (P, 3) array of finite points with z > 0 to their (P, S, Ns) channels,
     checking only the minimum element distance; ``channels`` checks raw
-    points first, and ``power.power_map`` calls one kernel per probe chunk.
+    points first, and a ``ChannelSet`` keeps the kernel that made it.
 
     Entry ``[p, s]`` is ``channel(geom, s, pts[p], amplitude_model)`` with
     the same per-element arithmetic, except that the center model's
@@ -286,17 +286,12 @@ class ChannelKernel:
         return np.multiply(scale, out, out=out)
 
 
-def channels(geom, points, amplitude_model="center"):
+def channels(kernel, points):
     """Near-field channels from all S sub-arrays to P points, shape (P, S, Ns).
 
-    Checks the amplitude model and that every point is finite and in front
-    of the array plane, then runs ``ChannelKernel(geom, amplitude_model)``
-    once on them. The kernel writes cos(-k r) and sin(-k r) into the real
-    and imaginary views of one complex buffer and multiplies the amplitude
-    into it in place, with the bytes of ``amp * sqrt(gain) *
-    np.exp(-1j * k * r)``; see ``ChannelKernel``.
+    Checks that every point is finite and in front of the array plane,
+    then runs ``kernel``, a ``ChannelKernel``, once on them.
     """
-    kernel = ChannelKernel(geom, amplitude_model)
     pts = as_points(points)
     if np.any(pts[:, 2] <= 0):
         raise ValueError("user must be in front of the array plane")
@@ -307,15 +302,28 @@ def channels(geom, points, amplitude_model="center"):
 class ChannelSet:
     """Channels g[s, m] for every (sub-array, user) pair with cached products.
 
-    ``gram[s]`` holds g_{s,k}^T g_{s,m}^* so harvested-power evaluation never
-    touches the raw element dimension. ``kappa`` is the MRT normalizer
-    1/||g||, defined as 0 for blocked (zero-norm) pairs so products vanish.
+    ``kernel`` is the ``ChannelKernel`` that synthesized ``g``, so a probe
+    anywhere gets its channels from the same model. The rest is derived
+    from ``g``: ``gram[s]`` holds g_{s,k}^T g_{s,m}^* so harvested-power
+    evaluation never touches the raw element dimension, and ``kappa`` is
+    the MRT normalizer 1/||g||, defined as 0 for blocked (zero-norm) pairs
+    so products vanish.
     """
 
     g: np.ndarray        # (S, M, Ns) complex
-    norms: np.ndarray    # (S, M)
-    kappa: np.ndarray    # (S, M)
-    gram: np.ndarray     # (S, M, M) complex, gram[s, k, m] = g_{s,k}^T g_{s,m}^*
+    kernel: ChannelKernel
+    norms: np.ndarray = field(init=False)    # (S, M)
+    kappa: np.ndarray = field(init=False)    # (S, M)
+    gram: np.ndarray = field(init=False)     # (S, M, M) complex, g_{s,k}^T g_{s,m}^*
+
+    def __post_init__(self):
+        self.norms = np.linalg.norm(self.g, axis=2)
+        self.kappa = np.zeros_like(self.norms)
+        nz = self.norms > 0
+        self.kappa[nz] = 1.0 / self.norms[nz]
+        self.gram = np.einsum("ski,smi->skm", self.g, np.conj(self.g))
+        if not np.all(np.isfinite(self.gram)):
+            raise ValueError("channel synthesis overflowed: the channels are not finite")
 
     @property
     def n_sub(self):
@@ -331,26 +339,16 @@ class ChannelSet:
 
 
 def build_channel_set(geom, users, amplitude_model="center"):
-    """Synthesize all S x M channels plus norms, kappa and Gram products."""
+    """Synthesize all S x M channels with one kernel; see ``ChannelSet``."""
     if len(users) == 0:
         raise ValueError("need at least one user")
     boundary = near_field_boundary(geom)
     points = np.array([u.coords if isinstance(u, UserPosition)
                        else np.asarray(u, float) for u in users])
-    for m, p in enumerate(points):
-        if np.linalg.norm(p) > boundary:
-            warnings.warn(
-                "user %d at range %.3g m lies beyond the near-field service "
-                "boundary d_f/10 = %.3g m" % (m, np.linalg.norm(p), boundary),
-                stacklevel=2,
-            )
-    g = np.ascontiguousarray(
-        channels(geom, points, amplitude_model).transpose(1, 0, 2))
-    norms = np.linalg.norm(g, axis=2)
-    kappa = np.zeros_like(norms)
-    nz = norms > 0
-    kappa[nz] = 1.0 / norms[nz]
-    gram = np.einsum("ski,smi->skm", g, np.conj(g))
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("channel synthesis overflowed: the channels are not finite")
-    return ChannelSet(g=g, norms=norms, kappa=kappa, gram=gram)
+    for m, r in enumerate(map(np.linalg.norm, points)):
+        if r > boundary:
+            warnings.warn("user %d at range %.3g m lies beyond the near-field service "
+                          "boundary d_f/10 = %.3g m" % (m, r, boundary), stacklevel=2)
+    kernel = ChannelKernel(geom, amplitude_model)
+    g = np.ascontiguousarray(channels(kernel, points).transpose(1, 0, 2))
+    return ChannelSet(g=g, kernel=kernel)

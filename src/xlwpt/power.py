@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChannelKernel, as_points
+from .geometry import as_points
 
 FEASIBILITY_TOL = 1e-9
 # complex channel entries (probes x S x Ns) synthesized per power-map chunk;
@@ -92,15 +92,21 @@ def uniform_split(ch, power_cfg):
     return np.full((ch.n_sub, ch.n_users), power_cfg.p_sub(ch.n_elements) / ch.n_users)
 
 
-def _received(ch, omega, weights):
-    """Harvested power at each receiving user k of each lane [W].
+def _coefficients(ch, omega, weights):
+    """Beam coefficients w_s kappa_{s,m} sqrt(O_{s,m}), (..., S, M)."""
+    return weights[..., None] * ch.kappa * np.sqrt(np.maximum(omega, 0.0))
+
+
+def _received(coef, cross):
+    """Harvested power at each receiver k of each lane [W].
 
     Beams add by power over the coherent sums
-    T[k, m] = sum_s w_s kappa_{s,m} sqrt(O_{s,m}) g_{s,k}^T g_{s,m}^*.
-    Leading axes of ``omega`` (..., S, M) and ``weights`` (..., S) are lanes.
+    T[k, m] = sum_s coef_{s,m} cross[s, k, m], where cross[s, k, m] is the
+    receiver's channel g_{s,k}^T g_{s,m}^*: ``gram`` for the users, or a
+    probe's channels against the users'. Leading axes of ``coef``
+    (..., S, M) are lanes.
     """
-    coef = weights[..., None] * ch.kappa * np.sqrt(np.maximum(omega, 0.0))
-    t = np.einsum("...sm,skm->...km", coef, ch.gram)
+    t = np.einsum("...sm,skm->...km", coef, cross)
     return np.sum(np.abs(t) ** 2, axis=-1)
 
 
@@ -109,8 +115,9 @@ def harvested_lanes(ch, omega, weights):
 
     Uses the coherent inner-sum form (O(S M^2)); the expanded double-sum over
     sub-array pairs is algebraically identical and serves as a test oracle.
+    Leading axes of ``omega`` (..., S, M) and ``weights`` (..., S) are lanes.
     """
-    return np.sum(_received(ch, omega, weights), axis=-1)
+    return np.sum(_received(_coefficients(ch, omega, weights), ch.gram), axis=-1)
 
 
 def consumed_lanes(omega, weights, power_cfg, n_users, n_elements):
@@ -122,11 +129,16 @@ def consumed_lanes(omega, weights, power_cfg, n_users, n_elements):
             + n_users * power_cfg.p_cr)
 
 
-def harvested_power(ch, alloc):
-    """Total RF power collected by all users for the given allocation [W]."""
+def _weights(ch, alloc):
+    """The allocation's activations as lane weights, once its shape fits ``ch``."""
     if alloc.omega.shape != (ch.n_sub, ch.n_users):
         raise ValueError("allocation dimensions do not match the channel set")
-    return float(harvested_lanes(ch, alloc.omega, alloc.a.astype(float)))
+    return alloc.a.astype(float)
+
+
+def harvested_power(ch, alloc):
+    """Total RF power collected by all users for the given allocation [W]."""
+    return float(harvested_lanes(ch, alloc.omega, _weights(ch, alloc)))
 
 
 def consumed_power(alloc, power_cfg, n_users, n_elements):
@@ -150,41 +162,36 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def power_map(geom, alloc, ch, probes, amplitude_model="center"):
+def power_map(alloc, ch, probes):
     """Harvested power a virtual probe user would collect at each location.
 
     The precoders and power coefficients stay fixed at the values designed
-    for the real users; only the receive channel is re-synthesized per probe.
-    One ``ChannelKernel`` built here holds the element grids, sub-array
-    centers and constants of the whole map. The probes are checked once,
-    here; each chunk's kernel call checks only the minimum element
-    distance and makes its phases and amplitudes in one complex buffer,
-    with the bytes of ``geometry.channels``. The probe chunks split into
-    contiguous blocks, one per CPU this process may run on: the caller
-    fills the first block and one helper thread fills each other one.
-    NumPy releases the GIL inside the chunks' large elementwise loops, and
-    a chunk's arithmetic does not depend on the thread that runs it, so
-    every value has the same bits on any CPU count.
+    for the real users; only the receive channel is synthesized per probe,
+    by ``ch.kernel``, the kernel that made the users' channels. A probe at
+    a user's position gets that user's received power, since both go
+    through ``_received``. The probe chunks split into contiguous blocks,
+    one per CPU this process may run on: the caller fills the first block
+    and one helper thread fills each other one. NumPy releases the GIL
+    inside the chunks' large elementwise loops, and a chunk's arithmetic
+    does not depend on the thread that runs it, so every value has the
+    same bits on any CPU count.
     """
-    kernel = ChannelKernel(geom, amplitude_model)
-    coef = alloc.a[:, None] * ch.kappa * np.sqrt(np.maximum(alloc.omega, 0.0))
+    coef = _coefficients(ch, alloc.omega, _weights(ch, alloc))
     g_conj = np.conj(ch.g)
     pts = as_points(probes)
     values = np.zeros(len(pts))
     # probes behind the array plane lie outside the element pattern support
-    behind = pts[:, 2] <= 0
-    front = np.flatnonzero(~behind)
-    step = max(1, _MAP_CHUNK_ENTRIES // (geom.n_sub * geom.n_elements))
+    front = np.flatnonzero(pts[:, 2] > 0)
+    step = max(1, _MAP_CHUNK_ENTRIES // (ch.n_sub * ch.n_elements))
     starts = range(0, len(front), step)
 
     def fill(block):
         # blocks are disjoint, so no two threads write the same entry of values
         for start in block:
             idx = front[start:start + step]
-            gq = kernel(pts[idx])
-            cross = np.einsum("psi,smi->psm", gq, g_conj)
-            t = np.sum(coef * cross, axis=1)
-            values[idx] = np.sum(np.abs(t) ** 2, axis=1)
+            # laid out (S, probes, M) like gram
+            cross = np.einsum("psi,smi->spm", ch.kernel(pts[idx]), g_conj)
+            values[idx] = _received(coef, cross)
 
     n = len(starts)
     workers = min(_cpu_count(), n)

@@ -8,6 +8,8 @@ import pytest
 from oracles import exp_channels
 from xlwpt.geometry import (
     ArrayGeometry,
+    ChannelKernel,
+    ChannelSet,
     UserPosition,
     MIN_USER_DISTANCE,
     build_channel_set,
@@ -217,7 +219,7 @@ class TestChannelsKernel:
                              ids=["custom_origins", "boresight", "single_element"])
     def test_matches_stacked_channel_calls(self, case, model):
         geom, points = case()
-        got = channels(geom, points, model)
+        got = channels(ChannelKernel(geom, model), points)
         assert got.shape == (len(points), geom.n_sub, geom.n_elements)
         np.testing.assert_allclose(got, stacked_channels(geom, points, model),
                                    rtol=1e-14, atol=0)
@@ -230,42 +232,44 @@ class TestChannelsKernel:
                                   "zero_gain", "grazing_single_element"])
     def test_bytes_equal_exp_oracle(self, case, model):
         geom, points = case()
-        assert (channels(geom, points, model).tobytes()
+        assert (channels(ChannelKernel(geom, model), points).tobytes()
                 == exp_channels(geom, points, model).tobytes())
 
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_zero_gain_case_has_zeros_of_both_signs(self, model):
-        got = channels(*zero_gain_case(), model)
+        geom, points = zero_gain_case()
+        got = channels(ChannelKernel(geom, model), points)
         zero = np.concatenate([got.real[got.real == 0], got.imag[got.imag == 0]])
         assert np.signbit(zero).any() and not np.signbit(zero).all()
 
     def test_point_behind_plane_rejected(self):
         with pytest.raises(ValueError, match="front"):
-            channels(paper_geometry(2), [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+            channels(ChannelKernel(paper_geometry(2)), [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
 
     def test_point_near_element_rejected(self):
         geom = paper_geometry(2)
         elem = element_positions(geom, 1)[37]
         near = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
         with pytest.raises(ValueError, match="degenerate"):
-            channels(geom, [(0.0, 0.0, 1.0), near])
+            channels(ChannelKernel(geom), [(0.0, 0.0, 1.0), near])
 
     def test_unknown_amplitude_model(self):
         with pytest.raises(ValueError, match="amplitude model"):
-            channels(single_element_geometry(), [(0.0, 0.0, 1.0)], "flat")
+            ChannelKernel(single_element_geometry(), "flat")
 
     def test_points_without_three_coordinates_rejected(self):
         # three (x, z) pairs must not be read as two (x, y, z) points
         xz = [(0.0, 1.0), (0.2, 0.8), (-0.3, 1.2)]
         with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\)"):
-            channels(paper_geometry(2), xz)
+            channels(ChannelKernel(paper_geometry(2)), xz)
 
     def test_point_stack_flattened(self):
         geom, points = custom_origins_case()
         stack = np.array([points, points])
-        got = channels(geom, stack)
+        kernel = ChannelKernel(geom)
+        got = channels(kernel, stack)
         assert got.shape == (2 * len(points), geom.n_sub, geom.n_elements)
-        assert got.tobytes() == channels(geom, stack.reshape(-1, 3)).tobytes()
+        assert got.tobytes() == channels(kernel, stack.reshape(-1, 3)).tobytes()
 
 
 class TestChannelSet:
@@ -313,6 +317,27 @@ class TestChannelSet:
                 build_channel_set(geom, [UserPosition(0.1, 0.0, 1.0)])
         assert any("overflow" in str(w.message) for w in caught)
 
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    def test_set_keeps_the_kernel_that_made_it(self, model):
+        users = [UserPosition(0.4, 0, 1.0, 1), UserPosition(-0.3, 0.1, 1.2, 2)]
+        ch = build_channel_set(paper_geometry(2), users, model)
+        again = channels(ch.kernel, [u.coords for u in users]).transpose(1, 0, 2)
+        assert again.tobytes() == ch.g.tobytes()
+
+    def test_products_derive_from_g(self):
+        users = [UserPosition(0.4, 0, 1.0, 1), UserPosition(-0.3, 0.1, 1.2, 2)]
+        ch = build_channel_set(paper_geometry(2), users)
+        g = ch.g.copy()
+        g[1, 0] = 0.0
+        blocked = replace(ch, g=g)
+        assert blocked.kernel is ch.kernel
+        assert blocked.norms[1, 0] == 0.0 and blocked.kappa[1, 0] == 0.0
+        assert np.all(blocked.gram[1, 0] == 0.0) and np.all(blocked.gram[1, :, 0] == 0.0)
+        assert blocked.kappa[0].tobytes() == ch.kappa[0].tobytes()
+        assert blocked.gram[0].tobytes() == ch.gram[0].tobytes()
+        with pytest.raises(TypeError):
+            ChannelSet(g=g, kernel=ch.kernel, norms=ch.norms)
+
     def test_gram_matches_direct_products(self):
         geom = paper_geometry(2)
         users = [UserPosition(0.4, 0, 1.0, 1), UserPosition(-0.3, 0.1, 1.2, 2)]
@@ -342,7 +367,7 @@ class TestValidation:
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            channels(paper_geometry(2), [(0.0, 0.0, 1.0), (np.nan, 0.0, 1.0)])
+            channels(ChannelKernel(paper_geometry(2)), [(0.0, 0.0, 1.0), (np.nan, 0.0, 1.0)])
 
     @pytest.mark.parametrize("point", [(np.nan, 0.0, 1.0), (0.1, np.inf, 1.0),
                                        (0.1, 0.0, -np.inf)])

@@ -7,6 +7,7 @@ target-user pair) with explicit element-level inner products.
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,16 +32,20 @@ from xlwpt.power import (
     hpe,
     power_map,
 )
+from xlwpt.scenario import ScenarioConfig
 
 
-def small_channel_set(n_sub=3, n_users=2, seed=0):
+def small_users(n_users=2, seed=0):
+    rng = np.random.default_rng(seed)
+    return [UserPosition(x=rng.uniform(-0.3, 0.3), y=rng.uniform(-0.1, 0.1),
+                         z=rng.uniform(0.5, 1.2), vr_label=1 + m % 2)
+            for m in range(n_users)]
+
+
+def small_channel_set(n_sub=3, n_users=2, seed=0, amplitude_model="center"):
     geom = ArrayGeometry(n_sub=n_sub, nx=4, ny=2, d=0.05, wavelength=0.1,
                          element_size=0.025, boresight_exp=2)
-    rng = np.random.default_rng(seed)
-    users = [UserPosition(x=rng.uniform(-0.3, 0.3), y=rng.uniform(-0.1, 0.1),
-                          z=rng.uniform(0.5, 1.2), vr_label=1 + m % 2)
-             for m in range(n_users)]
-    return geom, build_channel_set(geom, users)
+    return geom, build_channel_set(geom, small_users(n_users, seed), amplitude_model)
 
 
 def harvested_power_oracle(ch, omega, weights):
@@ -238,58 +243,62 @@ class TestAllocationState:
 
 class TestPowerMap:
     def test_probe_at_user_matches_received_power(self):
-        geom, ch = small_channel_set()
-        rng = np.random.default_rng(5)
-        alloc = random_allocation(ch, PowerConfig(), rng)
-        # probe placed exactly at the first user reproduces its received power
-        # (re-derive the user position from the generator's rng)
-        u_rng = np.random.default_rng(0)
-        u = (u_rng.uniform(-0.3, 0.3), u_rng.uniform(-0.1, 0.1),
-             u_rng.uniform(0.5, 1.2))
-        vals = power_map(geom, alloc, ch, [u])
-        per = power._received(ch, alloc.omega, alloc.a)
-        assert vals[0] == pytest.approx(per[0], rel=1e-10)
+        # a probe placed exactly at each user reproduces its received power
+        for model in ("center", "per_element"):
+            _, ch = small_channel_set(n_users=3, amplitude_model=model)
+            alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(5))
+            vals = power_map(alloc, ch, [u.coords for u in small_users(3)])
+            coef = power._coefficients(ch, alloc.omega, alloc.a.astype(float))
+            assert vals.tobytes() == power._received(coef, ch.gram).tobytes(), model
+
+    def test_allocation_shape_mismatch_rejected(self):
+        # the default scenario's set has 3 users; this allocation serves 1
+        ch = ScenarioConfig().channel_set()
+        alloc = AllocationState(omega=np.full((ch.n_sub, 1), 0.1),
+                                a=np.ones(ch.n_sub, int), a_tilde=np.ones(ch.n_sub))
+        with pytest.raises(ValueError, match="allocation dimensions"):
+            power_map(alloc, ch, [(0.0, 0.0, 1.0)])
 
     def test_behind_plane_is_zero(self):
-        geom, ch = small_channel_set()
+        _, ch = small_channel_set()
         rng = np.random.default_rng(5)
         alloc = random_allocation(ch, PowerConfig(), rng)
-        vals = power_map(geom, alloc, ch, [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
+        vals = power_map(alloc, ch, [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
         assert np.all(vals == 0.0)
 
     @pytest.mark.parametrize("probe", [(np.nan, 0.0, 1.0), (0.0, 0.0, np.nan),
                                        (0.0, np.inf, 1.0)])
     def test_non_finite_probe_rejected(self, probe):
-        geom, ch = small_channel_set()
+        _, ch = small_channel_set()
         alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(5))
         with pytest.raises(ValueError, match="finite"):
-            power_map(geom, alloc, ch, [(0.0, 0.0, 1.0), probe])
+            power_map(alloc, ch, [(0.0, 0.0, 1.0), probe])
 
     def test_nonnegative_everywhere(self):
-        geom, ch = small_channel_set()
+        _, ch = small_channel_set()
         rng = np.random.default_rng(6)
         alloc = random_allocation(ch, PowerConfig(), rng)
         probes = [(x, 0.0, z) for x in np.linspace(-1, 1, 5)
                   for z in np.linspace(0.2, 1.5, 4)]
-        vals = power_map(geom, alloc, ch, probes)
+        vals = power_map(alloc, ch, probes)
         assert np.all(vals >= 0.0)
 
     def test_probes_without_three_coordinates_rejected(self):
         # three (x, z) probes must not be read as two (x, y, z) probes
-        geom, ch = small_channel_set()
+        _, ch = small_channel_set()
         alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(6))
         xz = [(0.0, 1.0), (0.2, 0.8), (-0.3, 1.2)]
         with pytest.raises(ValueError, match=r"shape \(\.\.\., 3\)"):
-            power_map(geom, alloc, ch, xz)
+            power_map(alloc, ch, xz)
 
     def test_probe_grid_flattened(self):
-        geom, ch = small_channel_set()
+        _, ch = small_channel_set()
         alloc = random_allocation(ch, PowerConfig(), np.random.default_rng(6))
         grid = np.array([[(x, 0.0, z) for x in (-0.5, 0.0, 0.5)]
                          for z in (-0.2, 0.4, 1.1)])
-        got = power_map(geom, alloc, ch, grid)
+        got = power_map(alloc, ch, grid)
         assert got.shape == (9,)
-        assert got.tobytes() == power_map(geom, alloc, ch, grid.reshape(-1, 3)).tobytes()
+        assert got.tobytes() == power_map(alloc, ch, grid.reshape(-1, 3)).tobytes()
 
 
 def power_map_oracle(geom, alloc, ch, probes, amplitude_model):
@@ -319,6 +328,10 @@ class TestPowerMapChunks:
         self.step = max(1, power._MAP_CHUNK_ENTRIES
                         // (self.geom.n_sub * self.geom.n_elements))
 
+    def channel_set(self, model):
+        """The same users' channel set under ``model``."""
+        return small_channel_set(amplitude_model=model)[1]
+
     def probes(self, n, seed=0):
         rng = np.random.default_rng(seed)
         return np.column_stack([rng.uniform(-1.5, 1.5, n),
@@ -334,9 +347,9 @@ class TestPowerMapChunks:
         for i in (3, self.step - 1, self.step, 2 * self.step + 2):
             if i < len(probes):
                 probes[i, 2] = -0.5 if i % 2 else 0.0
-        got = power_map(self.geom, self.alloc, self.ch, probes,
-                        amplitude_model=model)
-        want = power_map_oracle(self.geom, self.alloc, self.ch, probes, model)
+        ch = self.channel_set(model)
+        got = power_map(self.alloc, ch, probes)
+        want = power_map_oracle(self.geom, self.alloc, ch, probes, model)
         assert got.shape == (len(probes),)
         assert np.all(got[probes[:, 2] <= 0] == 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -346,41 +359,40 @@ class TestPowerMapChunks:
         probes = self.probes(self.step + 3)
         probes[self.step + 1] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
         with pytest.raises(ValueError, match="degenerate"):
-            power_map(self.geom, self.alloc, self.ch, probes)
+            power_map(self.alloc, self.ch, probes)
 
     def report_cpus(self, monkeypatch, n):
         """Make power_map see n CPUs, so it shares its chunks among n workers."""
         monkeypatch.setattr(power.os, "sched_getaffinity",
                             lambda pid: set(range(n)), raising=False)
 
-    def one_chunk_maps(self, probes, model):
+    def one_chunk_maps(self, ch, probes):
         """The raster as one power_map call per chunk, each on its caller alone."""
-        return np.concatenate([
-            power_map(self.geom, self.alloc, self.ch, probes[i:i + self.step],
-                      amplitude_model=model)
-            for i in range(0, len(probes), self.step)])
+        return np.concatenate([power_map(self.alloc, ch, probes[i:i + self.step])
+                               for i in range(0, len(probes), self.step)])
 
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_shared_chunks_equal_one_chunk_calls(self, monkeypatch, model):
         # 5 chunks over 3 workers: the caller fills 1 chunk, each helper 2
         self.report_cpus(monkeypatch, 3)
+        ch = self.channel_set(model)
         probes = self.probes(4 * self.step + 5, seed=1)
-        got = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
-        assert got.tobytes() == self.one_chunk_maps(probes, model).tobytes()
+        got = power_map(self.alloc, ch, probes)
+        assert got.tobytes() == self.one_chunk_maps(ch, probes).tobytes()
 
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_shared_chunks_equal_exp_oracle_raster(self, monkeypatch, model):
         # 5 chunks over 3 workers against a raster made on the caller alone
         # from the complex-temporary channels
+        ch = self.channel_set(model)
+        exp_ch = replace(ch, kernel=lambda pts: exp_channels(self.geom, pts, model))
         probes = self.probes(4 * self.step + 5, seed=4)
         probes[[3, self.step + 1], 2] = -0.5
         with monkeypatch.context() as patch:
-            patch.setattr(power, "ChannelKernel",
-                          lambda geom, model: lambda pts: exp_channels(geom, pts, model))
             self.report_cpus(patch, 1)
-            want = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
+            want = power_map(self.alloc, exp_ch, probes)
         self.report_cpus(monkeypatch, 3)
-        got = power_map(self.geom, self.alloc, self.ch, probes, amplitude_model=model)
+        got = power_map(self.alloc, ch, probes)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chunk", [0, 2], ids=["caller", "helper"])
@@ -392,20 +404,20 @@ class TestPowerMapChunks:
         probes[chunk * self.step + 4] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
         before = threading.active_count()
         with pytest.raises(ValueError, match="degenerate"):
-            power_map(self.geom, self.alloc, self.ch, probes)
+            power_map(self.alloc, self.ch, probes)
         assert threading.active_count() == before
 
     def test_more_workers_than_cores_on_a_short_switch_interval(self, monkeypatch):
         # 9 chunks over 8 workers, switching threads as often as possible
         self.report_cpus(monkeypatch, 8)
         probes = self.probes(8 * self.step + 3, seed=3)
-        want = self.one_chunk_maps(probes, "center")
+        want = self.one_chunk_maps(self.ch, probes)
         got = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             caller = threading.Thread(target=lambda: got.append(
-                power_map(self.geom, self.alloc, self.ch, probes)))
+                power_map(self.alloc, self.ch, probes)))
             caller.start()
             caller.join(timeout=120)
         finally:
