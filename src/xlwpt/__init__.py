@@ -8,7 +8,6 @@ from .geometry import (
     UserPosition,
     build_channel_set,
     channel,
-    element_positions,
     fraunhofer_distance,
     near_field_boundary,
     radiation_pattern,
@@ -28,7 +27,7 @@ from .scenario import ClusterSpec, ConfigError, ScenarioConfig, load_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry", "UserPosition", "ChannelSet", "element_positions",
+    "ArrayGeometry", "UserPosition", "ChannelSet",
     "fraunhofer_distance", "near_field_boundary", "radiation_pattern",
     "channel", "build_channel_set",
     "PowerConfig", "AllocationState", "harvested_power", "consumed_power",

@@ -7,7 +7,7 @@ element radiation pattern: per-element phase, per-sub-array amplitude.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -128,18 +128,6 @@ class UserPosition:
         return np.array([self.x, self.y, self.z])
 
 
-def element_positions(geom, s):
-    """All Ns element positions of sub-array s, row-major over (x, y) index."""
-    if not 0 <= s < geom.n_sub:
-        raise IndexError("sub-array index %d out of range" % s)
-    ox, oy, _ = geom.sub_array_origins[s]
-    ix, iy = np.meshgrid(np.arange(geom.nx), np.arange(geom.ny), indexing="ij")
-    pos = np.zeros((geom.n_elements, 3))
-    pos[:, 0] = ox + ix.ravel() * geom.d
-    pos[:, 1] = oy + iy.ravel() * geom.d
-    return pos
-
-
 def sub_array_center(geom, s):
     """Geometric center of sub-array s (the amplitude/angle reference point)."""
     ox, oy, _ = geom.sub_array_origins[s]
@@ -174,36 +162,26 @@ def radiation_pattern(theta, b):
 
 
 def channel(geom, s, user, amplitude_model="center"):
-    """Near-field channel vector from sub-array s to one user.
+    """Near-field channel vector from sub-array s to one user, shape (Ns,).
 
-    Per-element spherical phase exp(-jk r_i); amplitude and pattern angle are
-    referenced to the sub-array center by default, or per element when
-    ``amplitude_model="per_element"``.
+    The one-point view of ``ChannelKernel``: the kernel of sub-array s
+    alone runs on the user, so the vector has the bytes of the row
+    ``g[s, m]`` that ``build_channel_set`` gives that user. Raises
+    ValueError unless the user is one finite point in front of the array
+    plane, at least ``MIN_USER_DISTANCE`` from every element of sub-array
+    s, and IndexError unless 0 <= s < S.
     """
     if amplitude_model not in AMPLITUDE_MODELS:
         raise ValueError("unknown amplitude model %r" % amplitude_model)
     p = as_points(user.coords if isinstance(user, UserPosition) else user)
     if len(p) != 1:
         raise ValueError("channel takes one point, got %d" % len(p))
-    p = p[0]
-    if p[2] <= 0:
+    if p[0, 2] <= 0:
         raise ValueError("user must be in front of the array plane")
-    elems = element_positions(geom, s)
-    r_elem = np.linalg.norm(p[None, :] - elems, axis=1)
-    if np.min(r_elem) < MIN_USER_DISTANCE:
-        raise ValueError("user position degenerate: within %g m of an element"
-                         % MIN_USER_DISTANCE)
-    phase = np.exp(-1j * geom.wavenumber * r_elem)
-    if amplitude_model == "center":
-        r_ref = np.linalg.norm(p - sub_array_center(geom, s))
-        theta = np.arccos(np.clip(p[2] / r_ref, -1.0, 1.0))
-        amp = geom.wavelength / (4.0 * np.pi * r_ref)
-        gain = radiation_pattern(theta, geom.boresight_exp)
-        return amp * np.sqrt(gain) * phase
-    theta = np.arccos(np.clip(p[2] / r_elem, -1.0, 1.0))
-    amp = geom.wavelength / (4.0 * np.pi * r_elem)
-    gain = radiation_pattern(theta, geom.boresight_exp)
-    return amp * np.sqrt(gain) * phase
+    if not 0 <= s < geom.n_sub:
+        raise IndexError("sub-array index %d out of range" % s)
+    one = replace(geom, n_sub=1, sub_array_origins=geom.sub_array_origins[s:s + 1])
+    return ChannelKernel(one, amplitude_model)(p)[0, 0]
 
 
 def as_points(points):
@@ -230,10 +208,8 @@ class ChannelKernel:
     checking only the minimum element distance; ``channels`` checks raw
     points first, and a ``ChannelSet`` keeps the kernel that made it.
 
-    Entry ``[p, s]`` is ``channel(geom, s, pts[p], amplitude_model)`` with
-    the same per-element arithmetic, except that the center model's
-    reference distance and gain come from array ops where ``channel`` uses
-    a BLAS dot and scalar ``pow`` (1e-15 relative). Squared distances
+    ``channel(geom, s, pt, amplitude_model)`` is its one-point view, entry
+    ``[0, s]`` for ``pts = [pt]``, with these bytes. Squared distances
     broadcast as ``(dx^2 + dy^2) + dz^2`` over the separable element grid.
     The phases go into one complex buffer: x = -k r overwrites the
     distances, ``cos(x)`` and ``sin(x)`` fill its real and imaginary views
@@ -261,7 +237,7 @@ class ChannelKernel:
         shape = (len(pts), len(self.ex), self.n_elements)
         dx2 = (pts[:, 0, None, None] - self.ex) ** 2               # (P, S, nx)
         dy2 = (pts[:, 1, None, None] - self.ey) ** 2               # (P, S, ny)
-        # element index ix * ny + iy, as in element_positions
+        # element index ix * ny + iy, row-major over the (x, y) grid
         r_elem = np.add(dx2[..., :, None], dy2[..., None, :]).reshape(shape)
         r_elem += pts[:, 2, None, None] ** 2
         np.sqrt(r_elem, out=r_elem)

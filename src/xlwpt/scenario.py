@@ -90,8 +90,9 @@ class ScenarioConfig:
             raise ValueError("es_cap must be >= 1")
         for name, known in (("methods", KNOWN_METHODS), ("artifacts", ARTIFACTS)):
             chosen = getattr(self, name)
-            if not chosen or any(v not in known for v in chosen):
-                raise ValueError("%s must be a non-empty list of %s"
+            if (not chosen or any(v not in known for v in chosen)
+                    or len(set(chosen)) < len(chosen)):
+                raise ValueError("%s must be a non-empty list of distinct %s"
                                  % (name, ", ".join(known)))
 
     def geometry(self):

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 
 from xlwpt.geometry import (
+    AMPLITUDE_MODELS,
     MIN_USER_DISTANCE,
+    UserPosition,
     as_points,
     radiation_pattern,
     sub_array_center,
@@ -57,6 +59,53 @@ def grid_oracle(ch, power_cfg, active_set, steps):
         consumed = consumed_lanes(block, a, power_cfg, n_users, ch.n_elements)
         best = max(best, float(np.max(harvested / consumed)))
     return best
+
+
+def element_positions(geom, s):
+    """All Ns element positions of sub-array s, row-major over (x, y) index."""
+    if not 0 <= s < geom.n_sub:
+        raise IndexError("sub-array index %d out of range" % s)
+    ox, oy, _ = geom.sub_array_origins[s]
+    ix, iy = np.meshgrid(np.arange(geom.nx), np.arange(geom.ny), indexing="ij")
+    pos = np.zeros((geom.n_elements, 3))
+    pos[:, 0] = ox + ix.ravel() * geom.d
+    pos[:, 1] = oy + iy.ravel() * geom.d
+    return pos
+
+
+def scalar_channel(geom, s, user, amplitude_model="center"):
+    """``geometry.channel`` as a per-element formula over ``element_positions``.
+
+    Per-element spherical phase exp(-jk r_i); amplitude and pattern angle
+    are referenced to the sub-array center (a BLAS dot and a scalar
+    ``pow``) or to each element. It agrees with the kernel to ~1e-15
+    relative, not bit for bit, and raises the same errors as
+    ``geometry.channel`` in the same order.
+    """
+    if amplitude_model not in AMPLITUDE_MODELS:
+        raise ValueError("unknown amplitude model %r" % amplitude_model)
+    p = as_points(user.coords if isinstance(user, UserPosition) else user)
+    if len(p) != 1:
+        raise ValueError("channel takes one point, got %d" % len(p))
+    p = p[0]
+    if p[2] <= 0:
+        raise ValueError("user must be in front of the array plane")
+    elems = element_positions(geom, s)
+    r_elem = np.linalg.norm(p[None, :] - elems, axis=1)
+    if np.min(r_elem) < MIN_USER_DISTANCE:
+        raise ValueError("user position degenerate: within %g m of an element"
+                         % MIN_USER_DISTANCE)
+    phase = np.exp(-1j * geom.wavenumber * r_elem)
+    if amplitude_model == "center":
+        r_ref = np.linalg.norm(p - sub_array_center(geom, s))
+        theta = np.arccos(np.clip(p[2] / r_ref, -1.0, 1.0))
+        amp = geom.wavelength / (4.0 * np.pi * r_ref)
+        gain = radiation_pattern(theta, geom.boresight_exp)
+        return amp * np.sqrt(gain) * phase
+    theta = np.arccos(np.clip(p[2] / r_elem, -1.0, 1.0))
+    amp = geom.wavelength / (4.0 * np.pi * r_elem)
+    gain = radiation_pattern(theta, geom.boresight_exp)
+    return amp * np.sqrt(gain) * phase
 
 
 def exp_channels(geom, points, amplitude_model="center"):

@@ -119,6 +119,16 @@ class TestPAES:
         assert res.hpe == best[1]
         assert res.allocation.a.tolist() == best[2]
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_sub", [4, 6, 8])
+    def test_reported_hpe_is_hpe_of_the_allocation(self, n_sub, seed):
+        # PA-ES scores its subsets with hpe()'s lane kernels, so the winner's
+        # value has hpe()'s bits
+        cfg = ScenarioConfig(n_sub=n_sub, seed=seed)
+        ch = cfg.channel_set()
+        res = pa_es(ch, cfg.pa, cfg.power)
+        assert res.hpe == hpe(ch, res.allocation, cfg.power)
+
     def test_stacks_fit_the_budget_at_the_cap(self, monkeypatch):
         n_sub = baselines.ES_SUBARRAY_CAP
         ch = make_channels(n_sub=n_sub, seed=1)

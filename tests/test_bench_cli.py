@@ -652,6 +652,14 @@ class TestCLI:
         assert main(["solve", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_method_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["solve", "--set", 'methods=["PA-SA","PA-SA","EA-FA"]',
+                     "--out", str(out)])
+        assert code == 2
+        assert "methods: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_set_exit_code(self, tmp_path, capsys):
         assert main(["solve", "--set", "nonsense"]) == 2
 

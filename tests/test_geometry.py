@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import exp_channels
+from oracles import element_positions, exp_channels, scalar_channel
 from xlwpt.geometry import (
     ArrayGeometry,
     ChannelKernel,
@@ -15,12 +15,12 @@ from xlwpt.geometry import (
     build_channel_set,
     channel,
     channels,
-    element_positions,
     fraunhofer_distance,
     near_field_boundary,
     radiation_pattern,
     sub_array_center,
 )
+from xlwpt.scenario import ClusterSpec, ScenarioConfig
 
 
 def single_element_geometry(**kw):
@@ -168,9 +168,54 @@ class TestChannel:
         np.testing.assert_allclose(np.angle(g_elem), np.angle(g_center))
 
 
+def outcome(f, *args):
+    """The exception type that f(*args) raises, or None when it returns."""
+    try:
+        f(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+class TestChannelIsTheKernelRow:
+    """channel() is the one-point view of the kernel that build_channel_set runs."""
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    @pytest.mark.parametrize("seed", [1, 4])
+    @pytest.mark.parametrize("n_sub, n_vr", [(6, 2), (10, 1), (16, 2)])
+    def test_bytes_equal_channel_set_rows(self, n_sub, n_vr, seed, model):
+        # seed 1 at (6, 2) holds a center pair where the scalar formula
+        # differs from the kernel by 4e-16 relative
+        cfg = ScenarioConfig(n_sub=n_sub, clusters=ClusterSpec(n_vr=n_vr),
+                             seed=seed, amplitude_model=model)
+        ch, geom = cfg.channel_set(), cfg.geometry()
+        for m, user in enumerate(cfg.users()):
+            for s in range(n_sub):
+                assert channel(geom, s, user, model).tobytes() == ch.g[s, m].tobytes(), (s, m)
+
+    @pytest.mark.parametrize("s", [-1, 2], ids=["minus_one", "n_sub"])
+    def test_sub_array_index_out_of_range(self, s):
+        with pytest.raises(IndexError, match="out of range"):
+            channel(paper_geometry(2), s, UserPosition(0.3, 0.1, 1.5))
+
+    @pytest.mark.parametrize("s", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("point", [(0.3, 0.1, 1.5), (0.3, 0.1, 0.0), (np.nan, 0.0, 1.0),
+                                       [(0.0, 0.0, 1.0), (0.1, 0.0, 1.0)], "near_module_1"])
+    @pytest.mark.parametrize("model", ["center", "flat"])
+    def test_raises_what_the_scalar_formula_raises(self, s, point, model):
+        # every check, alone and in pairs, in the scalar formula's order;
+        # only sub-array s's elements count as too near
+        geom = paper_geometry(2)
+        if point == "near_module_1":
+            elem = element_positions(geom, 1)[37]
+            point = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
+        assert outcome(channel, geom, s, point, model) == outcome(
+            scalar_channel, geom, s, point, model)
+
+
 def stacked_channels(geom, points, amplitude_model):
-    """Scalar oracle of the broadcast kernel: one channel() call per pair."""
-    return np.array([[channel(geom, s, p, amplitude_model)
+    """Scalar oracle of the broadcast kernel: one scalar_channel() call per pair."""
+    return np.array([[scalar_channel(geom, s, p, amplitude_model)
                       for s in range(geom.n_sub)] for p in points])
 
 

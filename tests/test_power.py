@@ -12,15 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import exp_channels
+from oracles import element_positions, exp_channels, scalar_channel
 from xlwpt import power
 from xlwpt.geometry import (
     MIN_USER_DISTANCE,
     ArrayGeometry,
     UserPosition,
     build_channel_set,
-    channel,
-    element_positions,
 )
 from xlwpt.power import (
     AllocationState,
@@ -302,7 +300,7 @@ class TestPowerMap:
 
 
 def power_map_oracle(geom, alloc, ch, probes, amplitude_model):
-    """Per-probe loop over scalar channel() calls and element inner products."""
+    """Per-probe loop over scalar_channel() calls and element inner products."""
     coef = alloc.a[:, None] * ch.kappa * np.sqrt(alloc.omega)
     values = []
     for p in probes:
@@ -311,7 +309,7 @@ def power_map_oracle(geom, alloc, ch, probes, amplitude_model):
             continue
         t = np.zeros(ch.n_users, dtype=complex)
         for s in range(geom.n_sub):
-            gq = channel(geom, s, p, amplitude_model)
+            gq = scalar_channel(geom, s, p, amplitude_model)
             for m in range(ch.n_users):
                 t[m] += coef[s, m] * np.vdot(ch.g[s, m], gq)
         values.append(np.sum(np.abs(t) ** 2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,16 @@ class TestParsing:
             scenario_from_dict({"solver": {"max_sa_iters": 0}})
         with pytest.raises(ConfigError, match=r"^users\.clusters\.V, users\.clusters\.count: "):
             scenario_from_dict({"users": {"clusters": {"V": 3, "count": 2}}})
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"methods": ["PA-SA", "PA-SA", "EA-FA"]}, "methods"),
+        ({"methods": ["PA-FA", "PA-SA", "PA-FA"]}, "methods"),
+        ({"outputs": {"artifacts": ["results", "traces", "results"]}}, "outputs.artifacts"),
+    ])
+    def test_repeated_list_entry_rejected(self, raw, key):
+        # a repeated method would run twice and write its row or trace twice
+        with pytest.raises(ConfigError, match=r"^%s: .*distinct" % re.escape(key)):
+            scenario_from_dict(raw)
 
     def test_error_names_the_nested_key_every_retry_trips_on(self):
         # each top-level key is fine; every retry fails on the power values
