@@ -23,7 +23,8 @@ def _write_csv(path, header, rows):
 
     A float is written as %.17g, so it reads back exactly; the csv module
     writes None as an empty cell and anything else as str(). Timing cells
-    arrive formatted by ``_timing``.
+    arrive formatted by ``_timing``. A row of floats alone is written with
+    one %-format, since no %.17g text needs CSV quoting.
     """
     # built in memory and written at once: row-by-row writes left the heap
     # top free for glibc to trim, and the next raster's NumPy temporaries
@@ -31,8 +32,15 @@ def _write_csv(path, header, rows):
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
-                     for row in rows)
+    float_formats = {}  # row length -> "%.17g,...\n"
+    for row in rows:
+        row = tuple(row)
+        if all([isinstance(v, float) for v in row]):
+            if len(row) not in float_formats:
+                float_formats[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
+            text.write(float_formats[len(row)] % row)
+        else:
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
     with open(path, "w", newline="") as fh:
         fh.write(text.getvalue())
 
@@ -223,24 +231,36 @@ def _emit_aggregate(rows, spec, outdir, column, filename, cell=float):
                ["value", "method", "mean_%s" % column], means)
 
 
-def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
-                  path="powermap.csv", ch=None):
-    """Raster of harvested power seen by a probe over one coordinate plane.
+@dataclass(frozen=True)
+class ProbeGrid:
+    """The probes of a power-map raster over one coordinate plane.
+
+    ``u`` and ``v`` are (resolution, resolution) arrays of each probe's
+    coordinates along the plane's two axes; rows run over v, and over u
+    within each row. ``probes`` holds the same probes as (x, y, z) rows
+    in that order.
+    """
+
+    plane: str
+    u: np.ndarray
+    v: np.ndarray
+    probes: np.ndarray
+
+
+def probe_grid(cfg, plane="xz", extent=None, resolution=40):
+    """The probe raster of ``emit_powermap``; it needs no channel set or solve.
 
     The plane sits at y = 0 for xz, x = 0 for yz, and the users' mean
     depth z for xy, which lies in front of the array. Each default extent
     holds the array's width and every user: a square about boresight for
     xy, and for xz/yz a depth of twice the cluster range or farthest user,
-    at least 1 m.
-    ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
+    at least 1 m. A raster too large for memory raises MemoryError.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if plane not in ("xz", "yz", "xy"):
         raise ValueError("plane must be one of xz, yz, xy")
     geom = cfg.geometry()
-    if ch is None:
-        ch = cfg.channel_set()
     half = geom.n_sub * geom.nx * geom.d / 2.0
     users = cfg.users()
     # the plane's coordinate on its third axis
@@ -254,15 +274,33 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
         extent = (-half, half, 0.05, depth)
     u = np.linspace(extent[0], extent[1], resolution)
     v = np.linspace(extent[2], extent[3], resolution)
-    # rows run over v, and over u within each row
     uu, vv = np.meshgrid(u, v)
     fixed = np.full(uu.shape, float(offset))
     probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
                        "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
-    values = power_map(alloc, ch, probes)
-    _write_csv(path, ["%s_m" % axis for axis in plane] + ["watts"],
-               zip(uu.ravel().tolist(), vv.ravel().tolist(), values.tolist()))
-    return values.reshape(uu.shape)
+    return ProbeGrid(plane, uu, vv, probes)
+
+
+def write_powermap(grid, alloc, ch, path):
+    """Write the harvested power at each probe of ``grid`` as one CSV.
+
+    Returns the raster as a (resolution, resolution) array.
+    """
+    values = power_map(alloc, ch, grid.probes)
+    _write_csv(path, ["%s_m" % axis for axis in grid.plane] + ["watts"],
+               zip(grid.u.ravel().tolist(), grid.v.ravel().tolist(), values.tolist()))
+    return values.reshape(grid.u.shape)
+
+
+def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
+                  path="powermap.csv", ch=None):
+    """Raster of harvested power seen by a probe over one coordinate plane.
+
+    The probes are ``probe_grid(cfg, plane, extent, resolution)``.
+    ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
+    """
+    grid = probe_grid(cfg, plane, extent, resolution)
+    return write_powermap(grid, alloc, cfg.channel_set() if ch is None else ch, path)
 
 
 def emit_convergence(report, path):

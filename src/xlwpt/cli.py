@@ -10,7 +10,7 @@ import os
 import sys
 
 from .baselines import pa_sa
-from .bench import SweepSpec, bench_timing, emit_powermap, run_methods, sweep
+from .bench import SweepSpec, bench_timing, probe_grid, run_methods, sweep, write_powermap
 from .pa import SolverFault
 from .scenario import ConfigError, read_scenario_json, scenario_from_dict
 
@@ -76,10 +76,14 @@ def _cmd_powermap(args):
     if args.res < 1:
         raise ConfigError("--res must be >= 1, got %d" % args.res)
     path = _out_path(args.out or "powermap.csv", False)
+    try:
+        grid = probe_grid(cfg, args.plane, resolution=args.res)
+    except MemoryError:
+        raise ConfigError("--res %d: a %dx%d probe raster does not fit in memory"
+                          % (args.res, args.res, args.res)) from None
     ch = cfg.channel_set()
     result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
-    emit_powermap(cfg, result.allocation, plane=args.plane,
-                  resolution=args.res, path=path, ch=ch)
+    write_powermap(grid, result.allocation, ch, path)
     print("power map (%s plane, %dx%d) written to %s"
           % (args.plane, args.res, args.res, path))
     return 0

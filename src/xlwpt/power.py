@@ -5,6 +5,7 @@ parameterized; the ``AllocationState`` functions score its binary ones.
 """
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -13,9 +14,13 @@ import numpy as np
 from .geometry import as_points
 
 FEASIBILITY_TOL = 1e-9
-# complex channel entries (probes x S x Ns) synthesized per power-map chunk;
-# small enough that the chunk's temporaries stay in cache
-_MAP_CHUNK_ENTRIES = 16384
+# complex channel entries (probes x S x Ns) synthesized per power-map chunk,
+# 32 probes at S=6, Ns=256. Set from a sweep over 16K-192K entries on an
+# 81x81 raster: this size pays each chunk's fixed NumPy call cost a third
+# as often as 16K did, while a worker's ~1.2 MB of temporaries (24 B per
+# entry) still fits a 2 MB per-core L2; wider chunks ran no faster and
+# only added resident memory. Every size gives the same raster bytes.
+_MAP_CHUNK_ENTRIES = 49152
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,12 @@ def power_map(alloc, ch, probes):
     for the real users; only the receive channel is synthesized per probe,
     by ``ch.kernel``, the kernel that made the users' channels. A probe at
     a user's position gets that user's received power, since both go
-    through ``_received``. The probe chunks split into contiguous blocks,
-    one per CPU this process may run on: the caller fills the first block
-    and one helper thread fills each other one. NumPy releases the GIL
-    inside the chunks' large elementwise loops, and a chunk's arithmetic
-    does not depend on the thread that runs it, so every value has the
-    same bits on any CPU count.
+    through ``_received``. The caller and one helper thread per spare CPU
+    draw the next probe chunk from one shared queue until it is empty, so
+    a worker that loses CPU time leaves the rest to the others. NumPy
+    releases the GIL inside the chunks' large elementwise loops, and a
+    chunk's arithmetic does not depend on its size or on the thread that
+    runs it, so every value has the same bits on any CPU count.
     """
     coef = _coefficients(ch, alloc.omega, _weights(ch, alloc))
     g_conj = np.conj(ch.g)
@@ -183,26 +188,28 @@ def power_map(alloc, ch, probes):
     # probes behind the array plane lie outside the element pattern support
     front = np.flatnonzero(pts[:, 2] > 0)
     step = max(1, _MAP_CHUNK_ENTRIES // (ch.n_sub * ch.n_elements))
-    starts = range(0, len(front), step)
+    chunks = deque(range(0, len(front), step))
 
-    def fill(block):
-        # blocks are disjoint, so no two threads write the same entry of values
-        for start in block:
+    def fill():
+        # popleft is atomic, so each chunk goes to one thread and no two
+        # threads write the same entry of values
+        while True:
+            try:
+                start = chunks.popleft()
+            except IndexError:
+                return
             idx = front[start:start + step]
             # laid out (S, probes, M) like gram
             cross = np.einsum("psi,smi->spm", ch.kernel(pts[idx]), g_conj)
             values[idx] = _received(coef, cross)
 
-    n = len(starts)
-    workers = min(_cpu_count(), n)
-    blocks = [starts[n * i // workers:n * (i + 1) // workers] for i in range(workers)]
-    # the executor starts a thread per submitted block only, so a map of one
+    workers = min(_cpu_count(), len(chunks))
+    # the executor starts a thread per submitted fill only, so a map of one
     # chunk, or a process on one CPU, runs on the calling thread alone; on
     # leaving the with block every helper has finished
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        futures = [pool.submit(fill, block) for block in blocks[1:]]
-        for block in blocks[:1]:
-            fill(block)
+        futures = [pool.submit(fill) for _ in range(workers - 1)]
+        fill()
         for future in futures:
             future.result()
     return values

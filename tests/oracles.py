@@ -1,5 +1,7 @@
 """Brute-force oracles shared by the test modules; not part of the package."""
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -15,6 +17,21 @@ from xlwpt.geometry import (
 from xlwpt.power import consumed_lanes, harvested_lanes
 
 GRID_ORACLE_MAX_VARS = 4
+
+
+def csv_writer_text(header, rows):
+    """``bench._write_csv``'s text as the csv module writes every row.
+
+    A float cell goes in as its %.17g text and any other cell as is, so
+    None is an empty cell and anything else str(); cells that hold a
+    comma or a quote are quoted.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return text.getvalue()
 
 
 def grid_oracle(ch, power_cfg, active_set, steps):

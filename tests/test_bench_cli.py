@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from oracles import csv_writer_text
 from xlwpt import baselines, bench, cli, power
 from xlwpt.bench import (
     SweepSpec,
@@ -61,6 +62,19 @@ class TestWriters:
         assert path.read_bytes() == (b"none,float,int,timing,text\n"
                                      b',0.10000000000000001,3,1.23457,"a, b"\n'
                                      b",1,-2,,c\n")
+
+    @pytest.mark.parametrize("rows", [
+        [[float("inf"), float("-inf"), float("nan")], [-0.0, 5e-324, 1.7976931348623157e308],
+         [0.1, np.float64(-2.5e-17), 1e22], [1.0], []],
+        [[None, 1, "a, b"], [2.5, -3, 'say "hi"'], [True, "", None],
+         ["x", '"', ",,"], [None]],
+        [[0.5, 1.5], [0.5, None], ['q"1', 7.0], [float("nan"), -0.0], [3, 4.0]],
+    ], ids=["all_float", "mixed", "interleaved"])
+    def test_csv_bytes_equal_csv_writer_oracle(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        header = ["a", "b, c", 'd"']
+        bench._write_csv(path, header, [tuple(row) for row in rows])
+        assert path.read_bytes() == csv_writer_text(header, rows).encode()
 
     def test_json_exact_bytes(self, tmp_path):
         path = tmp_path / "t.json"
@@ -535,6 +549,21 @@ class TestCLI:
         code = main(["powermap", self.write_cfg(tmp_path), "--res", "0",
                      "--out", str(tmp_path / "pm.csv")])
         assert code == 2
+        assert calls == []
+        assert not (tmp_path / "pm.csv").exists()
+
+    def test_powermap_raster_too_large_rejected_before_solving(self, tmp_path,
+                                                             monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        calls = []
+        monkeypatch.setattr(cli, "pa_sa", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(bench.np, "meshgrid", no_memory)
+        code = main(["powermap", self.write_cfg(tmp_path), "--res", "200000",
+                     "--out", str(tmp_path / "pm.csv")])
+        assert code == 2
+        assert "error: --res 200000" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "pm.csv").exists()
 

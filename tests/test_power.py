@@ -371,7 +371,7 @@ class TestPowerMapChunks:
 
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_shared_chunks_equal_one_chunk_calls(self, monkeypatch, model):
-        # 5 chunks over 3 workers: the caller fills 1 chunk, each helper 2
+        # 5 chunks over 3 workers, drawn from one queue in any order
         self.report_cpus(monkeypatch, 3)
         ch = self.channel_set(model)
         probes = self.probes(4 * self.step + 5, seed=1)
@@ -395,7 +395,8 @@ class TestPowerMapChunks:
 
     @pytest.mark.parametrize("chunk", [0, 2], ids=["caller", "helper"])
     def test_degenerate_probe_raises_after_helpers_finish(self, monkeypatch, chunk):
-        # 3 chunks over 3 workers: chunk 0 is the caller's, chunk 2 a helper's
+        # 3 chunks over 3 workers, drawn from one queue: any thread may
+        # draw the faulty chunk (see the helper fault test below)
         self.report_cpus(monkeypatch, 3)
         probes = self.probes(3 * self.step, seed=2)
         elem = element_positions(self.geom, 1)[5]
@@ -404,6 +405,47 @@ class TestPowerMapChunks:
         with pytest.raises(ValueError, match="degenerate"):
             power_map(self.alloc, self.ch, probes)
         assert threading.active_count() == before
+
+    def test_helper_fault_raises_after_helpers_finish(self, monkeypatch):
+        # the caller's first kernel call waits until a helper's call has
+        # failed, so the fault is a helper's on every run
+        self.report_cpus(monkeypatch, 3)
+        caller = threading.current_thread()
+        helper_failed = threading.Event()
+        kernel = self.ch.kernel
+
+        def kernel_failing_in_helpers(pts):
+            if threading.current_thread() is not caller:
+                helper_failed.set()
+                raise ValueError("helper fault")
+            if not helper_failed.wait(timeout=60):
+                raise RuntimeError("no helper drew a chunk")
+            return kernel(pts)
+
+        ch = replace(self.ch, kernel=kernel_failing_in_helpers)
+        probes = self.probes(4 * self.step, seed=2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="helper fault"):
+            power_map(self.alloc, ch, probes)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    def test_raster_bytes_do_not_depend_on_chunk_size(self, monkeypatch, model):
+        # chunks of one probe, of the default size and larger than the map,
+        # each on one and on three workers
+        ch = self.channel_set(model)
+        per_probe = self.geom.n_sub * self.geom.n_elements
+        probes = self.probes(self.step + 37, seed=5)
+        probes[[2, self.step + 3], 2] = -0.5
+        rasters = {}
+        for entries in (per_probe, power._MAP_CHUNK_ENTRIES,
+                        per_probe * (len(probes) + 1)):
+            for cpus in (1, 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(power, "_MAP_CHUNK_ENTRIES", entries)
+                    self.report_cpus(patch, cpus)
+                    rasters[entries, cpus] = power_map(self.alloc, ch, probes).tobytes()
+        assert len(rasters) == 6 and len(set(rasters.values())) == 1
 
     def test_more_workers_than_cores_on_a_short_switch_interval(self, monkeypatch):
         # 9 chunks over 8 workers, switching threads as often as possible
