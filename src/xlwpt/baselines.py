@@ -40,9 +40,8 @@ class SolvedLane:
 def ea_fa(ch, power_cfg):
     """Equal power allocation on the full array; no optimization."""
     tic = time.perf_counter()
-    a = np.ones(ch.n_sub, dtype=int)
-    alloc = AllocationState(omega=uniform_split(ch, power_cfg), a=a,
-                            a_tilde=a.astype(float))
+    alloc = AllocationState(omega=uniform_split(ch, power_cfg),
+                            a=np.ones(ch.n_sub, dtype=int))
     value = hpe(ch, alloc, power_cfg)
     return MethodResult(method="EA-FA", hpe=value, active_count=ch.n_sub,
                         wall_clock=time.perf_counter() - tic, allocation=alloc)
@@ -60,7 +59,7 @@ def pa_fa(ch, pa_cfg, power_cfg, first=None):
         omega, trace = pa_solve(ch, ones, pa_cfg, power_cfg)
     else:
         omega, trace = first.omega, first.trace
-    alloc = AllocationState(omega=omega, a=ones.astype(int), a_tilde=ones)
+    alloc = AllocationState(omega=omega, a=ones.astype(int))
     value = hpe(ch, alloc, power_cfg)
     seconds = time.perf_counter() - tic + (0.0 if first is None else first.seconds)
     return MethodResult(method="PA-FA", hpe=value, active_count=ch.n_sub,
@@ -130,8 +129,7 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
         raise ValueError("consumed power must be positive to form the HPE ratio")
     values = harvested_lanes(ch, omegas, masks) / consumed
     win = np.lexsort((indices, masks.sum(axis=1), -values))[0]
-    alloc = AllocationState(omega=omegas[win], a=masks[win].astype(int),
-                            a_tilde=masks[win])
+    alloc = AllocationState(omega=omegas[win], a=masks[win].astype(int))
     return MethodResult(method="PA-ES", hpe=float(values[win]),
                         active_count=int(alloc.a.sum()),
                         wall_clock=time.perf_counter() - tic, allocation=alloc,

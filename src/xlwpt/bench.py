@@ -23,8 +23,8 @@ def _write_csv(path, header, rows):
 
     A float is written as %.17g, so it reads back exactly; the csv module
     writes None as an empty cell and anything else as str(). Timing cells
-    arrive formatted by ``_timing``. A row of floats alone is written with
-    one %-format, since no %.17g text needs CSV quoting.
+    arrive formatted by ``_timing``. A 2-D float ndarray is written with
+    one %.17g row format, since no %.17g text needs CSV quoting.
     """
     # built in memory and written at once: row-by-row writes left the heap
     # top free for glibc to trim, and the next raster's NumPy temporaries
@@ -32,15 +32,12 @@ def _write_csv(path, header, rows):
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    float_formats = {}  # row length -> "%.17g,...\n"
-    for row in rows:
-        row = tuple(row)
-        if all([isinstance(v, float) for v in row]):
-            if len(row) not in float_formats:
-                float_formats[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
-            text.write(float_formats[len(row)] % row)
-        else:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v for v in row])
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        text.writelines(line % tuple(row) for row in rows.tolist())
+    else:
+        writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
+                         for row in rows)
     with open(path, "w", newline="") as fh:
         fh.write(text.getvalue())
 
@@ -231,30 +228,17 @@ def _emit_aggregate(rows, spec, outdir, column, filename, cell=float):
                ["value", "method", "mean_%s" % column], means)
 
 
-@dataclass(frozen=True)
-class ProbeGrid:
-    """The probes of a power-map raster over one coordinate plane.
-
-    ``u`` and ``v`` are (resolution, resolution) arrays of each probe's
-    coordinates along the plane's two axes; rows run over v, and over u
-    within each row. ``probes`` holds the same probes as (x, y, z) rows
-    in that order.
-    """
-
-    plane: str
-    u: np.ndarray
-    v: np.ndarray
-    probes: np.ndarray
-
-
 def probe_grid(cfg, plane="xz", extent=None, resolution=40):
-    """The probe raster of ``emit_powermap``; it needs no channel set or solve.
+    """The probes of ``emit_powermap``; it needs no channel set or solve.
 
-    The plane sits at y = 0 for xz, x = 0 for yz, and the users' mean
-    depth z for xy, which lies in front of the array. Each default extent
-    holds the array's width and every user: a square about boresight for
-    xy, and for xz/yz a depth of twice the cluster range or farthest user,
-    at least 1 m. A raster too large for memory raises MemoryError.
+    Returns a (resolution, resolution, 3) array of (x, y, z) probes over
+    one coordinate plane: rows run over the plane's second axis, and over
+    its first within each row. The plane sits at y = 0 for xz, x = 0 for
+    yz, and the users' mean depth z for xy, which lies in front of the
+    array. Each default extent holds the array's width and every user: a
+    square about boresight for xy, and for xz/yz a depth of twice the
+    cluster range or farthest user, at least 1 m. A raster too large for
+    memory raises MemoryError.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -276,20 +260,23 @@ def probe_grid(cfg, plane="xz", extent=None, resolution=40):
     v = np.linspace(extent[2], extent[3], resolution)
     uu, vv = np.meshgrid(u, v)
     fixed = np.full(uu.shape, float(offset))
-    probes = np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
-                       "xy": (uu, vv, fixed)}[plane], axis=-1).reshape(-1, 3)
-    return ProbeGrid(plane, uu, vv, probes)
+    return np.stack({"xz": (uu, fixed, vv), "yz": (fixed, uu, vv),
+                     "xy": (uu, vv, fixed)}[plane], axis=-1)
 
 
-def write_powermap(grid, alloc, ch, path):
-    """Write the harvested power at each probe of ``grid`` as one CSV.
+def write_powermap(probes, plane, alloc, ch, path):
+    """Write the harvested power at each of ``probes`` over ``plane`` as one CSV.
 
-    Returns the raster as a (resolution, resolution) array.
+    ``probes`` is a ``probe_grid`` array; the CSV holds each probe's two
+    coordinates on the plane and its watts. Returns the raster as a
+    (resolution, resolution) array.
     """
-    values = power_map(alloc, ch, grid.probes)
-    _write_csv(path, ["%s_m" % axis for axis in grid.plane] + ["watts"],
-               zip(grid.u.ravel().tolist(), grid.v.ravel().tolist(), values.tolist()))
-    return values.reshape(grid.u.shape)
+    points = probes.reshape(-1, 3)
+    values = power_map(alloc, ch, points)
+    axes = ["xyz".index(axis) for axis in plane]
+    _write_csv(path, ["%s_m" % axis for axis in plane] + ["watts"],
+               np.column_stack([points[:, axes], values]))
+    return values.reshape(probes.shape[:-1])
 
 
 def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
@@ -299,8 +286,9 @@ def emit_powermap(cfg, alloc, plane="xz", extent=None, resolution=40,
     The probes are ``probe_grid(cfg, plane, extent, resolution)``.
     ``ch`` is the scenario's channel set, built from ``cfg`` when not given.
     """
-    grid = probe_grid(cfg, plane, extent, resolution)
-    return write_powermap(grid, alloc, cfg.channel_set() if ch is None else ch, path)
+    probes = probe_grid(cfg, plane, extent, resolution)
+    return write_powermap(probes, plane, alloc,
+                          cfg.channel_set() if ch is None else ch, path)
 
 
 def emit_convergence(report, path):

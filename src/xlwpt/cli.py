@@ -77,13 +77,13 @@ def _cmd_powermap(args):
         raise ConfigError("--res must be >= 1, got %d" % args.res)
     path = _out_path(args.out or "powermap.csv", False)
     try:
-        grid = probe_grid(cfg, args.plane, resolution=args.res)
+        probes = probe_grid(cfg, args.plane, resolution=args.res)
     except MemoryError:
         raise ConfigError("--res %d: a %dx%d probe raster does not fit in memory"
                           % (args.res, args.res, args.res)) from None
     ch = cfg.channel_set()
     result = pa_sa(ch, cfg.pa_config(), cfg.power, cfg.sa_config())
-    write_powermap(grid, result.allocation, ch, path)
+    write_powermap(probes, args.plane, result.allocation, ch, path)
     print("power map (%s plane, %dx%d) written to %s"
           % (args.plane, args.res, args.res, path))
     return 0

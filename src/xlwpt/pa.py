@@ -288,7 +288,13 @@ def _polish(lanes, lane_of, lam, seeds):
 
     def phi_of(work, q):
         # q holds (..., B, S, M) points: leading axes are trials of each lane
-        harvest = np.einsum("...bsm,bmst,...btm->...b", q, work.quad, q)
+        if q.shape[-1] == 1:
+            # at M = 1 the three-operand einsum adds in an order that depends
+            # on the stack's shape; q times A q keeps a lane's bits in any stack
+            q_aq = q * np.einsum("bmst,...btm->...bsm", work.quad, q)
+            harvest = q_aq.reshape(q.shape[:-1]).sum(axis=-1)
+        else:
+            harvest = np.einsum("...bsm,bmst,...btm->...b", q, work.quad, q)
         transmit = (work.slope * q**2).reshape(q.shape[:-2] + (-1,)).sum(axis=-1)
         return harvest - lam * (transmit + work.fixed)
 

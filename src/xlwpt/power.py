@@ -64,13 +64,14 @@ class AllocationState:
 
     omega: np.ndarray          # (S, M) power coefficients [W]
     a: np.ndarray              # (S,) binary activations
-    a_tilde: np.ndarray        # (S,) parameterized activations in [0, 1]
+    a_tilde: np.ndarray = None  # (S,) parameterized activations in [0, 1]; a when None
 
     def __post_init__(self):
         # copies: switched-off rows are zeroed below, never in the caller's arrays
         self.omega = np.array(self.omega, dtype=float)
         self.a = np.asarray(self.a, dtype=int)
-        self.a_tilde = np.array(self.a_tilde, dtype=float)
+        self.a_tilde = np.array(self.a if self.a_tilde is None else self.a_tilde,
+                                dtype=float)
         if self.omega.ndim != 2:
             raise ValueError("omega must be an (S, M) matrix")
         if self.a.shape != (self.omega.shape[0],) or self.a_tilde.shape != self.a.shape:

@@ -120,8 +120,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
     report = SolveReport()
 
     def binary_hpe(om, act):
-        return hpe(ch, AllocationState(omega=om, a=act, a_tilde=act.astype(float)),
-                   power_cfg)
+        return hpe(ch, AllocationState(omega=om, a=act), power_cfg)
 
     def solve(a_tilde):
         return pa_solve(ch, a_tilde, pa_cfg, power_cfg,
@@ -174,6 +173,6 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
     report.wall_clock = time.perf_counter() - tic
     if first is not None:
         report.wall_clock += first.seconds
-    alloc = AllocationState(omega=omega_final, a=a, a_tilde=a.astype(float))
+    alloc = AllocationState(omega=omega_final, a=a)
     return alloc, report
 

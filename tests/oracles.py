@@ -195,7 +195,11 @@ def sequential_polish(lanes, lane_of, lam, seeds, max_iter=500):
     """
 
     def phi_of(work, q):
-        harvest = np.einsum("bsm,bmst,btm->b", q, work.quad, q)
+        if q.shape[-1] == 1:
+            # q times A q, as the polish forms phi at M = 1
+            harvest = (q * np.einsum("bmst,btm->bsm", work.quad, q))[..., 0].sum(axis=-1)
+        else:
+            harvest = np.einsum("bsm,bmst,btm->b", q, work.quad, q)
         transmit = (work.slope * q**2).reshape(len(q), -1).sum(axis=-1)
         return harvest - lam * (transmit + work.fixed)
 

@@ -69,11 +69,14 @@ class TestWriters:
         [[None, 1, "a, b"], [2.5, -3, 'say "hi"'], [True, "", None],
          ["x", '"', ",,"], [None]],
         [[0.5, 1.5], [0.5, None], ['q"1', 7.0], [float("nan"), -0.0], [3, 4.0]],
-    ], ids=["all_float", "mixed", "interleaved"])
+        np.array([[float("inf"), float("-inf"), float("nan")],
+                  [-0.0, 5e-324, 1.7976931348623157e308], [1e22, 0.1, 1.0]]),
+    ], ids=["all_float", "mixed", "interleaved", "float_table"])
     def test_csv_bytes_equal_csv_writer_oracle(self, tmp_path, rows):
         path = tmp_path / "t.csv"
         header = ["a", "b, c", 'd"']
-        bench._write_csv(path, header, [tuple(row) for row in rows])
+        bench._write_csv(path, header, rows if isinstance(rows, np.ndarray)
+                         else [tuple(row) for row in rows])
         assert path.read_bytes() == csv_writer_text(header, rows).encode()
 
     def test_json_exact_bytes(self, tmp_path):
@@ -403,6 +406,35 @@ class TestPowerMap:
         lateral = [u.x if plane == "xz" else u.y for u in users]
         assert rows[:, 0].min() <= min(lateral) and rows[:, 0].max() >= max(lateral)
         assert rows[:, 1].max() >= 2.0 * max(u.z for u in users)
+
+    @pytest.mark.parametrize("plane", ["xz", "yz", "xy"])
+    def test_probe_grid_spans_its_plane(self, plane):
+        cfg = small_cfg()
+        probes = bench.probe_grid(cfg, plane, resolution=4)
+        assert probes.shape == (4, 4, 3)
+        fixed = {"xz": (1, 0.0), "yz": (0, 0.0),
+                 "xy": (2, np.mean([u.z for u in cfg.users()]))}[plane]
+        assert np.all(probes[..., fixed[0]] == fixed[1])
+        # rows run over the plane's second axis, and over its first within a row
+        first, second = ["xyz".index(axis) for axis in plane]
+        assert np.all(np.diff(probes[..., first], axis=1) > 0)
+        assert np.all(np.diff(probes[..., second], axis=0) > 0)
+
+    @pytest.mark.parametrize("plane", ["xz", "yz", "xy"])
+    def test_csv_columns_are_the_probe_coordinates(self, tmp_path, plane):
+        cfg = small_cfg()
+        ch = cfg.channel_set()
+        alloc = AllocationState(uniform_split(ch, cfg.power), a=np.ones(3))
+        probes = bench.probe_grid(cfg, plane, resolution=4)
+        path = tmp_path / "m.csv"
+        raster = bench.write_powermap(probes, plane, alloc, ch, str(path))
+        with open(path) as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["%s_m" % axis for axis in plane] + ["watts"]
+        table = np.array(rows[1:], dtype=float)
+        axes = ["xyz".index(axis) for axis in plane]
+        assert table[:, :2].tobytes() == probes.reshape(-1, 3)[:, axes].tobytes()
+        assert table[:, 2].tobytes() == raster.ravel().tobytes()
 
     def test_bad_plane(self, tmp_path):
         cfg = small_cfg(methods=("PA-SA",))

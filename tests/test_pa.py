@@ -199,6 +199,45 @@ class TestPolishBatching:
         k = min(pa._PGA_MAX_BATCH, pa._PGA_BATCH_ENTRIES // 4)
         assert calls["n"] == 1 + -(-39 // k)
 
+    @staticmethod
+    def one_user_stack(seed, a_tilde):
+        """An S = 2, M = 1 lane stack and each lane's uniform-split ratio."""
+        _, ch = make_channels(n_sub=2, n_users=1, seed=seed)
+        power_cfg = PowerConfig()
+        uniform = np.broadcast_to(uniform_split(ch, power_cfg), (len(a_tilde), 2, 1))
+        ratio = (harvested_lanes(ch, uniform, a_tilde)
+                 / consumed_lanes(uniform, a_tilde, power_cfg, 1, ch.n_elements))
+        return pa.Lanes.build(ch, a_tilde, power_cfg), ratio
+
+    def test_one_user_lanes_keep_their_bits_in_any_stack(self):
+        a_tilde = np.array([[0.25, 0.25], [0.25, 0.8125], [1.0, 0.5], [0.5, 1.0]])
+        lane_of = np.arange(4)
+        for seed in range(10):
+            stack, ratio = self.one_user_stack(seed, a_tilde)
+            lam = 0.5 * ratio
+            seeds = stack.project(np.full((4, 2, 1), 0.25))
+            omega, phi, trials = pa._polish(stack, lane_of, lam, seeds)
+            for i in lane_of:
+                one = pa._polish(stack, lane_of[i:i + 1], lam[i:i + 1], seeds[i:i + 1])
+                assert omega[i].tobytes() == one[0][0].tobytes(), (seed, i)
+                assert phi[i].tobytes() == one[1][0].tobytes(), (seed, i)
+                assert trials[i] == one[2][0], (seed, i)
+
+    def test_one_user_trial_batches_repeat_the_sequential_ascent(self, monkeypatch):
+        # batched passes put a leading trial axis on a one-lane stack
+        monkeypatch.setattr(pa, "_PGA_MAX_ITER", 7)
+        monkeypatch.setattr(pa, "_PGA_BATCH_ENTRIES", 6)
+        monkeypatch.setattr(pa, "_PGA_MAX_BATCH", 3)
+        stack, ratio = self.one_user_stack(
+            13, np.array([[0.25, 0.25], [0.25, 0.25], [0.25, 0.8125]]))
+        lane_of = np.array([2])
+        lam = 0.5 * ratio[lane_of]
+        seeds = stack.take(lane_of).project(np.array([[[0.25], [0.0]]]))
+        got = pa._polish(stack, lane_of, lam, seeds)
+        want = sequential_polish(stack, lane_of, lam, seeds, max_iter=7)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_counters_reach_the_trace(self):
         _, ch = make_channels(n_sub=3, n_users=2, seed=7)
         pa_cfg, power_cfg = PAConfig(), PowerConfig()

@@ -145,6 +145,15 @@ class TestHarvestedPower:
         with pytest.raises(ValueError):
             harvested_power(ch, alloc)
 
+    def test_activations_default_to_the_binary_ones(self):
+        a = np.array([1, 0, 1])
+        alloc = AllocationState(omega=np.full((3, 2), 0.05), a=a)
+        assert alloc.a_tilde.dtype == float and alloc.a_tilde.tolist() == [1.0, 0.0, 1.0]
+        assert alloc.omega[1].tolist() == [0.0, 0.0]
+        fractional = AllocationState(omega=np.full((3, 2), 0.05), a=a,
+                                     a_tilde=[0.5, 0.7, 0.25])
+        assert fractional.a_tilde.tolist() == [0.5, 0.0, 0.25]
+
 
 class TestConsumedPower:
     def test_all_on_full_power_paper_values(self):
