@@ -114,8 +114,8 @@ def pa_es(ch, pa_cfg, power_cfg, subarray_cap=ES_SUBARRAY_CAP):
     if n_sub > subarray_cap:
         raise ValueError(
             "exhaustive search over %d sub-arrays would enumerate 2^%d "
-            "subsets; raise subarray_cap only if you can afford it"
-            % (n_sub, n_sub))
+            "subsets, past the cap of %d sub-arrays; raise solver.es_cap "
+            "only if you can afford it" % (n_sub, n_sub, subarray_cap))
     tic = time.perf_counter()
     indices = np.arange(1, 2**n_sub)
     masks = ((indices[:, None] >> np.arange(n_sub)) & 1).astype(float)

@@ -37,6 +37,14 @@ def _apply_overrides(path, overrides):
     return scenario_from_dict(raw)
 
 
+def _int_values(text):
+    """The integers of a comma-separated ``--values`` list, else ConfigError."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError("--values expects comma-separated integers, got %r" % text)
+
+
 def _out_path(path, is_dir):
     """``path`` if an output directory or file can go there, else ConfigError."""
     probe = os.path.abspath(path)
@@ -62,8 +70,7 @@ def _cmd_solve(args):
 
 def _cmd_sweep(args):
     cfg = _apply_overrides(args.config, args.set)
-    spec = SweepSpec(variable=args.var,
-                     values=tuple(int(v) for v in args.values.split(",")),
+    spec = SweepSpec(variable=args.var, values=_int_values(args.values),
                      repetitions=args.reps)
     rows = sweep(cfg, spec, _out_path(args.out or cfg.output_dir, True))
     faults = [r for r in rows if r.get("fault")]
@@ -91,8 +98,7 @@ def _cmd_powermap(args):
 
 def _cmd_bench(args):
     cfg = _apply_overrides(args.config, args.set)
-    values = tuple(int(v) for v in args.values.split(","))
-    _, growth = bench_timing(cfg, s_values=values,
+    _, growth = bench_timing(cfg, s_values=_int_values(args.values),
                              outdir=_out_path(args.out or cfg.output_dir, True))
     for method, factor in sorted(growth.items()):
         print("%-6s wall-clock growth per added sub-array: x%.3g"

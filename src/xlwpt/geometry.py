@@ -43,6 +43,7 @@ class ArrayGeometry:
     element_size : largest physical dimension D of one element [m]
     boresight_exp : cosine-pattern exponent b (dimensionless)
     sub_array_origins : corner position of each module on z=0 [m]
+    amplitude_model : amplitude/angle reference point, "center" or "per_element"
     """
 
     n_sub: int
@@ -53,8 +54,11 @@ class ArrayGeometry:
     element_size: float
     boresight_exp: float
     sub_array_origins: tuple = field(default=None)
+    amplitude_model: str = "center"
 
     def __post_init__(self):
+        if self.amplitude_model not in AMPLITUDE_MODELS:
+            raise ValueError("unknown amplitude model %r" % (self.amplitude_model,))
         if self.n_sub < 1 or self.nx < 1 or self.ny < 1:
             raise ValueError("n_sub, nx and ny must all be >= 1")
         if not (self.d > 0 and self.wavelength > 0 and self.element_size > 0):
@@ -161,7 +165,7 @@ def radiation_pattern(theta, b):
     return gain
 
 
-def channel(geom, s, user, amplitude_model="center"):
+def channel(geom, s, user):
     """Near-field channel vector from sub-array s to one user, shape (Ns,).
 
     The one-point view of ``ChannelKernel``: the kernel of sub-array s
@@ -171,8 +175,6 @@ def channel(geom, s, user, amplitude_model="center"):
     plane, at least ``MIN_USER_DISTANCE`` from every element of sub-array
     s, and IndexError unless 0 <= s < S.
     """
-    if amplitude_model not in AMPLITUDE_MODELS:
-        raise ValueError("unknown amplitude model %r" % amplitude_model)
     p = as_points(user.coords if isinstance(user, UserPosition) else user)
     if len(p) != 1:
         raise ValueError("channel takes one point, got %d" % len(p))
@@ -181,7 +183,7 @@ def channel(geom, s, user, amplitude_model="center"):
     if not 0 <= s < geom.n_sub:
         raise IndexError("sub-array index %d out of range" % s)
     one = replace(geom, n_sub=1, sub_array_origins=geom.sub_array_origins[s:s + 1])
-    return ChannelKernel(one, amplitude_model)(p)[0, 0]
+    return ChannelKernel(one)(p)[0, 0]
 
 
 def as_points(points):
@@ -202,15 +204,15 @@ def as_points(points):
 class ChannelKernel:
     """Near-field channels from all S sub-arrays of one geometry to many points.
 
-    Built once from ``(geom, amplitude_model)``, it holds the element x and
-    y grids, the sub-array centers and the constants. ``kernel(pts)`` maps a
-    (P, 3) array of finite points with z > 0 to their (P, S, Ns) channels,
-    checking only the minimum element distance; ``channels`` checks raw
-    points first, and a ``ChannelSet`` keeps the kernel that made it.
+    Built once from ``geom``, whose amplitude model it follows, it holds the
+    geometry, its element x and y grids and sub-array centers. ``kernel(pts)``
+    maps a (P, 3) array of finite points with z > 0 to their (P, S, Ns)
+    channels, checking only the minimum element distance; ``channels`` checks
+    raw points first, and a ``ChannelSet`` keeps the kernel that made it.
 
-    ``channel(geom, s, pt, amplitude_model)`` is its one-point view, entry
-    ``[0, s]`` for ``pts = [pt]``, with these bytes. Squared distances
-    broadcast as ``(dx^2 + dy^2) + dz^2`` over the separable element grid.
+    ``channel(geom, s, pt)`` is its one-point view, entry ``[0, s]`` for
+    ``pts = [pt]``, with these bytes. Squared distances broadcast as
+    ``(dx^2 + dy^2) + dz^2`` over the separable element grid.
     The phases go into one complex buffer: x = -k r overwrites the
     distances, ``cos(x)`` and ``sin(x)`` fill its real and imaginary views
     (the values the C library's complex ``exp`` gives for
@@ -219,22 +221,17 @@ class ChannelKernel:
     ``amp * sqrt(gain) * np.exp(-1j * k * r)``, without its temporaries.
     """
 
-    def __init__(self, geom, amplitude_model="center"):
-        if amplitude_model not in AMPLITUDE_MODELS:
-            raise ValueError("unknown amplitude model %r" % amplitude_model)
+    def __init__(self, geom):
+        self.geom = geom
         origins = np.array(geom.sub_array_origins)
         self.ex = origins[:, 0, None] + np.arange(geom.nx) * geom.d     # (S, nx)
         self.ey = origins[:, 1, None] + np.arange(geom.ny) * geom.d     # (S, ny)
         # amplitude and angle refer to the sub-array centers or to each element
         self.centers = (np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
-                        if amplitude_model == "center" else None)
-        self.wavenumber = geom.wavenumber
-        self.wavelength = geom.wavelength
-        self.boresight_exp = geom.boresight_exp
-        self.n_elements = geom.n_elements
+                        if geom.amplitude_model == "center" else None)
 
     def __call__(self, pts):
-        shape = (len(pts), len(self.ex), self.n_elements)
+        shape = (len(pts), self.geom.n_sub, self.geom.n_elements)
         dx2 = (pts[:, 0, None, None] - self.ex) ** 2               # (P, S, nx)
         dy2 = (pts[:, 1, None, None] - self.ey) ** 2               # (P, S, ny)
         # element index ix * ny + iy, row-major over the (x, y) grid
@@ -249,11 +246,11 @@ class ChannelKernel:
         else:
             r = r_elem
         theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
-        amp = self.wavelength / (4.0 * np.pi * r)
-        gain = radiation_pattern(theta, self.boresight_exp)
+        amp = self.geom.wavelength / (4.0 * np.pi * r)
+        gain = radiation_pattern(theta, self.geom.boresight_exp)
         scale = amp * np.sqrt(gain)
         # x = -k r, the imaginary part of -1j * k * r, in r_elem's buffer
-        x = np.multiply(r_elem, -self.wavenumber, out=r_elem)
+        x = np.multiply(r_elem, -self.geom.wavenumber, out=r_elem)
         out = np.empty(shape, dtype=complex)
         np.cos(x, out=out.real)
         np.sin(x, out=out.imag)
@@ -314,7 +311,7 @@ class ChannelSet:
         return self.g.shape[2]
 
 
-def build_channel_set(geom, users, amplitude_model="center"):
+def build_channel_set(geom, users):
     """Synthesize all S x M channels with one kernel; see ``ChannelSet``."""
     if len(users) == 0:
         raise ValueError("need at least one user")
@@ -325,6 +322,6 @@ def build_channel_set(geom, users, amplitude_model="center"):
         if r > boundary:
             warnings.warn("user %d at range %.3g m lies beyond the near-field service "
                           "boundary d_f/10 = %.3g m" % (m, r, boundary), stacklevel=2)
-    kernel = ChannelKernel(geom, amplitude_model)
+    kernel = ChannelKernel(geom)
     g = np.ascontiguousarray(channels(kernel, points).transpose(1, 0, 2))
     return ChannelSet(g=g, kernel=kernel)

@@ -131,7 +131,6 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         report.dr_residuals.append([s.dr_residual for s in pa_trace.states])
         report.pa_iterations += pa_trace.n_iterations
 
-    gamma_prev = None
     for i in range(1, sa_cfg.max_iters + 1):
         a_new, a_tilde = outer_problem(omega, a)
         if i == 1 and first is not None:
@@ -139,6 +138,7 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         else:
             omega_new, pa_trace = solve(a_tilde)
         gamma_i = binary_hpe(omega_new, a_new)
+        gamma_prev = report.hpe_trace[-1] if report.hpe_trace else None
 
         if gamma_prev is not None and gamma_i < gamma_prev - HPE_MONOTONE_SLACK:
             # candidate degrades the binary-activation HPE: keep the
@@ -154,14 +154,12 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         report.outer_iterations = i
         if gamma_prev is not None and abs(gamma_i - gamma_prev) < sa_cfg.delta * gamma_prev:
             report.converged = True
-            gamma_prev = gamma_i
             break
-        gamma_prev = gamma_i
 
     # report real on/off hardware: one binary re-solve on the final active set
     omega_final, pa_trace = solve(a.astype(float))
     final = binary_hpe(omega_final, a)
-    if report.hpe_trace and final < report.hpe_trace[-1] - HPE_MONOTONE_SLACK:
+    if final < report.hpe_trace[-1] - HPE_MONOTONE_SLACK:
         # binary re-solve is warm-started at the last accepted iterate, so
         # it cannot lose HPE; fall back defensively if arithmetic disagrees
         omega_final = omega

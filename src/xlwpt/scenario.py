@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .baselines import ES_SUBARRAY_CAP
-from .geometry import AMPLITUDE_MODELS, ArrayGeometry, UserPosition, build_channel_set
+from .geometry import ArrayGeometry, UserPosition, build_channel_set
 from .pa import PAConfig
 from .power import PowerConfig
 from .sa import SAConfig
@@ -69,9 +69,7 @@ class ScenarioConfig:
     artifacts: tuple[str, ...] = ARTIFACTS
 
     def __post_init__(self):
-        if self.amplitude_model not in AMPLITUDE_MODELS:
-            raise ValueError("unknown amplitude model %r" % (self.amplitude_model,))
-        self.geometry()  # ArrayGeometry rejects an invalid layout
+        self.geometry()  # ArrayGeometry rejects an invalid layout or model
         if self.positions is not None:
             if not self.positions:
                 raise ValueError("need at least one user position")
@@ -100,7 +98,8 @@ class ScenarioConfig:
                              d=self.d, wavelength=self.wavelength,
                              element_size=self.element_size,
                              boresight_exp=self.boresight_exp,
-                             sub_array_origins=self.origins)
+                             sub_array_origins=self.origins,
+                             amplitude_model=self.amplitude_model)
 
     def pa_config(self):
         return self.pa
@@ -115,7 +114,7 @@ class ScenarioConfig:
         return generate_cluster_users(self.clusters, np.random.default_rng(self.seed))
 
     def channel_set(self):
-        return build_channel_set(self.geometry(), self.users(), self.amplitude_model)
+        return build_channel_set(self.geometry(), self.users())
 
 
 def cluster_sizes(count, n_vr):

@@ -650,6 +650,26 @@ class TestCLI:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, values",
+                             [("sweep", "4,x"), ("sweep", ""), ("bench", "6,x")])
+    def test_unparseable_values_name_the_flag(self, tmp_path, capsys, command, values):
+        out = tmp_path / "o"
+        code = main([command, self.write_cfg(tmp_path), "--values", values,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --values expects comma-separated integers, got %r\n" % values)
+        assert not out.exists()
+
+    def test_es_cap_fault_names_the_scenario_key(self, tmp_path, capsys):
+        # the cap is a scenario setting, so the fault names its key and value
+        code = main(["solve", self.write_cfg(tmp_path), "--set", "solver.es_cap=2",
+                     "--set", 'methods=["PA-ES"]', "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "2^3 subsets, past the cap of 2 sub-arrays" in err
+        assert "raise solver.es_cap" in err
+
     def test_unreadable_scenario_exit_code(self, tmp_path, capsys):
         for path in (tmp_path / "missing.json", tmp_path):
             assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2

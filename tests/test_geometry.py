@@ -60,6 +60,10 @@ class TestElementPositions:
         with pytest.raises(IndexError):
             element_positions(paper_geometry(), 6)
 
+    def test_unknown_amplitude_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown amplitude model 'flat'"):
+            single_element_geometry(amplitude_model="flat")
+
     def test_overlapping_modules_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             ArrayGeometry(n_sub=2, nx=4, ny=4, d=0.05, wavelength=0.1,
@@ -160,8 +164,8 @@ class TestChannel:
     def test_per_element_amplitude_variant(self):
         geom = paper_geometry(1)
         u = UserPosition(0.5, 0.0, 1.0)
-        g_center = channel(geom, 0, u, amplitude_model="center")
-        g_elem = channel(geom, 0, u, amplitude_model="per_element")
+        g_center = channel(geom, 0, u)
+        g_elem = channel(replace(geom, amplitude_model="per_element"), 0, u)
         assert g_center.shape == g_elem.shape
         # same phases, slightly different amplitudes
         assert np.ptp(np.abs(g_elem)) > 0
@@ -191,7 +195,7 @@ class TestChannelIsTheKernelRow:
         ch, geom = cfg.channel_set(), cfg.geometry()
         for m, user in enumerate(cfg.users()):
             for s in range(n_sub):
-                assert channel(geom, s, user, model).tobytes() == ch.g[s, m].tobytes(), (s, m)
+                assert channel(geom, s, user).tobytes() == ch.g[s, m].tobytes(), (s, m)
 
     @pytest.mark.parametrize("s", [-1, 2], ids=["minus_one", "n_sub"])
     def test_sub_array_index_out_of_range(self, s):
@@ -204,12 +208,17 @@ class TestChannelIsTheKernelRow:
     @pytest.mark.parametrize("model", ["center", "flat"])
     def test_raises_what_the_scalar_formula_raises(self, s, point, model):
         # every check, alone and in pairs, in the scalar formula's order;
-        # only sub-array s's elements count as too near
+        # only sub-array s's elements count as too near. An unknown model
+        # fails when the geometry is built, before any point or index check
         geom = paper_geometry(2)
         if point == "near_module_1":
             elem = element_positions(geom, 1)[37]
             point = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
-        assert outcome(channel, geom, s, point, model) == outcome(
+
+        def view(s, point, model):
+            return channel(replace(geom, amplitude_model=model), s, point)
+
+        assert outcome(view, s, point, model) == outcome(
             scalar_channel, geom, s, point, model)
 
 
@@ -264,7 +273,7 @@ class TestChannelsKernel:
                              ids=["custom_origins", "boresight", "single_element"])
     def test_matches_stacked_channel_calls(self, case, model):
         geom, points = case()
-        got = channels(ChannelKernel(geom, model), points)
+        got = channels(ChannelKernel(replace(geom, amplitude_model=model)), points)
         assert got.shape == (len(points), geom.n_sub, geom.n_elements)
         np.testing.assert_allclose(got, stacked_channels(geom, points, model),
                                    rtol=1e-14, atol=0)
@@ -276,14 +285,16 @@ class TestChannelsKernel:
                              ids=["custom_origins", "boresight", "single_element",
                                   "zero_gain", "grazing_single_element"])
     def test_bytes_equal_exp_oracle(self, case, model):
+        # the kernel follows the model its geometry carries
         geom, points = case()
-        assert (channels(ChannelKernel(geom, model), points).tobytes()
+        kernel = ChannelKernel(replace(geom, amplitude_model=model))
+        assert (channels(kernel, points).tobytes()
                 == exp_channels(geom, points, model).tobytes())
 
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_zero_gain_case_has_zeros_of_both_signs(self, model):
         geom, points = zero_gain_case()
-        got = channels(ChannelKernel(geom, model), points)
+        got = channels(ChannelKernel(replace(geom, amplitude_model=model)), points)
         zero = np.concatenate([got.real[got.real == 0], got.imag[got.imag == 0]])
         assert np.signbit(zero).any() and not np.signbit(zero).all()
 
@@ -297,10 +308,6 @@ class TestChannelsKernel:
         near = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
         with pytest.raises(ValueError, match="degenerate"):
             channels(ChannelKernel(geom), [(0.0, 0.0, 1.0), near])
-
-    def test_unknown_amplitude_model(self):
-        with pytest.raises(ValueError, match="amplitude model"):
-            ChannelKernel(single_element_geometry(), "flat")
 
     def test_points_without_three_coordinates_rejected(self):
         # three (x, z) pairs must not be read as two (x, y, z) points
@@ -365,7 +372,7 @@ class TestChannelSet:
     @pytest.mark.parametrize("model", ["center", "per_element"])
     def test_set_keeps_the_kernel_that_made_it(self, model):
         users = [UserPosition(0.4, 0, 1.0, 1), UserPosition(-0.3, 0.1, 1.2, 2)]
-        ch = build_channel_set(paper_geometry(2), users, model)
+        ch = build_channel_set(replace(paper_geometry(2), amplitude_model=model), users)
         again = channels(ch.kernel, [u.coords for u in users]).transpose(1, 0, 2)
         assert again.tobytes() == ch.g.tobytes()
 

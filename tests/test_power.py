@@ -42,8 +42,9 @@ def small_users(n_users=2, seed=0):
 
 def small_channel_set(n_sub=3, n_users=2, seed=0, amplitude_model="center"):
     geom = ArrayGeometry(n_sub=n_sub, nx=4, ny=2, d=0.05, wavelength=0.1,
-                         element_size=0.025, boresight_exp=2)
-    return geom, build_channel_set(geom, small_users(n_users, seed), amplitude_model)
+                         element_size=0.025, boresight_exp=2,
+                         amplitude_model=amplitude_model)
+    return geom, build_channel_set(geom, small_users(n_users, seed))
 
 
 def harvested_power_oracle(ch, omega, weights):
