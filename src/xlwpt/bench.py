@@ -11,6 +11,7 @@ import numpy as np
 
 from . import baselines
 from .power import power_map
+from .scenario import ConfigError
 
 
 def _timing(seconds):
@@ -92,15 +93,26 @@ class SweepSpec:
             raise ValueError("repetitions must be >= 1")
 
     def cell(self, cfg, value, rep):
-        """The config of one cell: ``cfg`` with this axis at ``value``."""
-        if self.variable == "S":
-            return replace(cfg, n_sub=int(value), seed=cfg.seed + rep)
-        if cfg.positions is not None:
+        """The config of one cell: ``cfg`` with this axis at ``value``.
+
+        A value the scenario rejects is a ConfigError that names
+        ``--values``, and for V the ``users.clusters.count`` it must not
+        exceed.
+        """
+        if self.variable == "V" and cfg.positions is not None:
             # V counts generated clusters, so placed users would not change
             raise ValueError("a V sweep needs cluster-generated users, but "
                              "the scenario sets users.positions")
-        return replace(cfg, clusters=replace(cfg.clusters, n_vr=int(value)),
-                       seed=cfg.seed + rep)
+        try:
+            if self.variable == "S":
+                return replace(cfg, n_sub=int(value), seed=cfg.seed + rep)
+            return replace(cfg, clusters=replace(cfg.clusters, n_vr=int(value)),
+                           seed=cfg.seed + rep)
+        except ValueError as exc:
+            where = "--values %d for %s" % (int(value), self.variable)
+            if self.variable == "V":
+                where += " with users.clusters.count=%d" % cfg.clusters.count
+            raise ConfigError("%s: %s" % (where, exc)) from exc
 
 
 def run_methods(cfg, outdir=None):

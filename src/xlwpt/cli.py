@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .baselines import pa_sa
 from .bench import SweepSpec, bench_timing, probe_grid, run_methods, sweep, write_powermap
@@ -106,6 +107,11 @@ def _cmd_bench(args):
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one ``warning:`` line, without the library's source."""
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="xlwpt",
@@ -148,14 +154,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except SolverFault as exc:
-        print("solver fault: %s" % exc, file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ConfigError, ValueError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except SolverFault as exc:
+            print("solver fault: %s" % exc, file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

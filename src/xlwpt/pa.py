@@ -28,6 +28,14 @@ public prox operators: ``prox_consumption`` is a lane projection of a
 shifted point, and ``prox_neg_harvest`` solves a ``harvest_system`` that
 the loop rebuilds only when the prox step shrinks.
 
+The DR iteration, the polish pass and the projection run once per
+iteration, mostly on the one- and two-lane stacks of PA-FA and PA-SA,
+where NumPy's fixed cost per call outweighs the arithmetic. So they call
+ufuncs, array methods and ``np.count_nonzero`` rather than NumPy's
+Python-level wrappers (``np.all``, ``np.sort``, ``np.swapaxes``,
+``ndarray.any``), form each value once and pass ``np.maximum`` a 0-d
+zero.
+
 The polish tries one step per lane and pass while every lane accepts.
 After a rejection, a pass tries each lane's next halvings together, from
 the same point and gradient (at most ``_PGA_MAX_BATCH``, and
@@ -37,6 +45,7 @@ is exact, so every lane keeps the bits and trial count of the one-trial
 ascent; only the number of passes drops.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -50,6 +59,9 @@ _SHRINK = 0.25               # prox-step shrink factor
 _PGA_MAX_ITER = 500          # trial cap of each lane of the monotone ascent safeguard
 _PGA_BATCH_ENTRIES = 1024    # trial entries k * B * S * M of one batched polish pass
 _PGA_MAX_BATCH = 16          # most trials per lane in one polish pass
+# a read-only 0-d zero: np.maximum takes it in half the time of a Python 0.0
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class SolverFault(RuntimeError):
@@ -140,39 +152,55 @@ def quadratic_sup(quad):
 def project_feasible(omega_raw, p_sub, active):
     """Project onto the PA feasible set; leading axes are lanes.
 
-    Clamps negatives, zeroes inactive rows and projects every overweight
-    row onto its capped simplex with the sort-based rule (Duchi et al.
-    2008). No total budget is needed: P_t = S * P_s, so the row caps imply
-    it for any activation; ``AllocationState.validate`` still checks it.
-    Row sums, prefix sums and the threshold pick run over the user columns,
-    left to right, as NumPy's row ``sum`` adds fewer than 8 entries; rows
-    of M >= 8 keep ``sum``, which adds them in interleaved partial sums.
+    Clamps negatives, zeroes inactive entries and projects every
+    overweight row onto its capped simplex with the sort-based rule (Duchi
+    et al. 2008). ``active`` masks entries, or rows when its shape is a
+    prefix of ``omega_raw``'s, and broadcasts over leading axes. No total
+    budget is needed: P_t = S * P_s, so the row caps imply it for any
+    activation; ``AllocationState.validate`` still checks it.
+    Row sums and prefix sums add the user columns left to right, as
+    NumPy's row ``sum`` adds fewer than 8 entries; rows of M >= 8 keep
+    ``sum``, which adds them in interleaved partial sums.
     """
+    raw = np.asarray(omega_raw, dtype=float)
     active = np.asarray(active, dtype=bool)
-    omega = np.maximum(np.asarray(omega_raw, dtype=float), 0.0)
-    omega[~active] = 0.0
+    if active.ndim < raw.ndim:
+        # a mask of rows, or of lanes' rows: it holds for every user column
+        active = active.reshape(active.shape + (1,) * (raw.ndim - active.ndim))
+    # C order, so that ``rows`` below is a view of it
+    omega = np.zeros(raw.shape)
+    np.maximum(raw, _ZERO, out=omega, where=active)
     n = omega.shape[-1]
     if n < 8:
+        # column adds: a reduction over the last axis pays a fixed cost
+        # per row, which PA-ES's stacks of thousands of rows would feel
         total = omega[..., 0]
         for j in range(1, n):
             total = total + omega[..., j]
     else:
-        total = omega.sum(axis=-1)
-    over = total > p_sub
-    if over.any():
-        v = omega[over]
-        u = np.sort(v, axis=-1)[:, ::-1]
-        prefix = u.copy()
-        for k in range(1, n):
-            prefix[:, k] += prefix[:, k - 1]
-        tau = (prefix - p_sub) / np.arange(1, n + 1)
-        keep = tau < u
-        # tau_k of the last k with u_k > tau_k; tau_M when none is (inf and NaN rows)
-        theta = tau[:, -1]
-        for k in range(n):
-            theta = np.where(keep[:, k], tau[:, k], theta)
-        omega[over] = np.maximum(v - theta[:, None], 0.0)
+        total = np.add.reduce(omega, axis=-1)
+    over = (total > p_sub).ravel().nonzero()[0]
+    if len(over):
+        rows = omega.reshape(-1, n)
+        v = rows.take(over, axis=0)
+        u = v.copy()
+        u.sort(axis=-1)
+        u = u[:, ::-1]
+        tau = (np.add.accumulate(u, axis=-1) - p_sub) / _ranks(n)
+        # tau_k of the last k with u_k > tau_k, the first one from the end;
+        # tau_M when none is (inf and NaN rows), where the argmax reads 0
+        back = (tau < u)[:, ::-1].argmax(axis=-1)
+        v -= tau[:, ::-1][np.arange(len(v)), back][:, None]
+        rows[over] = np.maximum(v, _ZERO, out=v)
     return omega
+
+
+@functools.lru_cache(maxsize=None)
+def _ranks(n):
+    """1, ..., n, read-only: the sort rule's divisors, built once per row length."""
+    ranks = np.arange(1.0, n + 1)
+    ranks.flags.writeable = False
+    return ranks
 
 
 @dataclass
@@ -181,7 +209,7 @@ class Lanes:
 
     a_tilde: np.ndarray      # (B, S) parameterized activations
     allowed: np.ndarray      # (B, S, M) active row, user some active row reaches
-    quad: np.ndarray         # (B, M, S, S) harvest matrices
+    quad: np.ndarray         # (B, M, S, S) harvest matrices, or None (see take)
     lam_max: np.ndarray      # (B,) largest eigenvalue of each lane's matrices
     slope: np.ndarray        # (B, S, 1) transmit slope of P_c
     fixed: np.ndarray        # (B,) circuit power of P_c
@@ -205,23 +233,32 @@ class Lanes:
         return cls(a_tilde, allowed, quad, quadratic_sup(quad), slope, fixed,
                    power_cfg.p_sub(ch.n_elements))
 
-    def take(self, idx):
-        """The lanes at ``idx``, the harvest matrices in their memory order.
+    def take(self, idx, quad=True):
+        """The lanes at ``idx``; with ``quad=False`` their ``quad`` is None.
+
+        A stack without harvest matrices still projects and gives its
+        slopes, which is all the DR loop's consumption prox reads.
+        """
+        return Lanes(self.a_tilde[idx], self.allowed[idx],
+                     self.take_quad(idx) if quad else None, self.lam_max[idx],
+                     self.slope[idx], self.fixed[idx], self.p_sub)
+
+    def take_quad(self, idx):
+        """The harvest matrices of the lanes at ``idx``, in their memory order.
 
         The harvest value's einsum and the one-user gradient sum in stride
         order. The gather runs along the leading axis of the contiguous
         array, in one copy: one into the strided (B, M, S, S) view would
         also copy the source and buffer the output.
         """
-        quad = np.moveaxis(np.moveaxis(self.quad, 1, -1)[idx], -1, 1)
-        return Lanes(self.a_tilde[idx], self.allowed[idx], quad, self.lam_max[idx],
-                     self.slope[idx], self.fixed[idx], self.p_sub)
+        return self.quad.transpose(0, 2, 3, 1)[idx].transpose(0, 3, 1, 2)
 
     def project(self, omega):
         """``omega`` (..., B, S, M) projected onto each lane's feasible set."""
         allowed = self.allowed
         if omega.ndim > allowed.ndim:
-            allowed = np.broadcast_to(allowed, omega.shape)
+            # leading trial axes: each lane's mask holds for all its trials
+            allowed = allowed.reshape((1,) * (omega.ndim - allowed.ndim) + allowed.shape)
         return project_feasible(omega, self.p_sub, allowed)
 
 
@@ -248,11 +285,12 @@ def prox_neg_harvest(v, system):
     ``harvest_system(gamma, quad)``, and squares back; the caller keeps
     2 gamma lambda_max(A) < 1 so that the solve stays definite.
     """
-    q0 = np.sqrt(np.maximum(np.asarray(v, dtype=float), 0.0))
-    q = np.linalg.solve(system, np.swapaxes(q0, -1, -2)[..., None])[..., 0]
-    if not np.all(np.isfinite(q)):
+    q0 = np.maximum(np.asarray(v, dtype=float), _ZERO)
+    np.sqrt(q0, out=q0)
+    q = np.linalg.solve(system, q0.swapaxes(-1, -2)[..., None])[..., 0]
+    if np.count_nonzero(np.isfinite(q)) < q.size:
         raise SolverFault("harvest prox produced non-finite iterates")
-    return np.swapaxes(q, -1, -2)**2
+    return q.swapaxes(-1, -2)**2
 
 
 def _harvest_grad(quad, q):
@@ -282,8 +320,9 @@ def _polish(lanes, lane_of, lam, seeds):
     step * 2**-j for j < k, and each lane takes its first trial that is
     accepted, stops it or is its last. Halving by a power of two is exact,
     so every lane takes the trials, bits and stopping pass of the one-trial
-    ascent; ``k`` keeps k * B * S * M within ``_PGA_BATCH_ENTRIES``. Returns
-    the ascended points, their phi and each lane's trial count.
+    ascent; ``k`` keeps k * B * S * M within ``_PGA_BATCH_ENTRIES``. After
+    a pass in which every lane rejected, the next pass reuses the gradient.
+    Returns the ascended points, their phi and each lane's trial count.
     """
 
     def phi_of(work, q):
@@ -292,10 +331,11 @@ def _polish(lanes, lane_of, lam, seeds):
             # at M = 1 the three-operand einsum adds in an order that depends
             # on the stack's shape; q times A q keeps a lane's bits in any stack
             q_aq = q * np.einsum("bmst,...btm->...bsm", work.quad, q)
-            harvest = q_aq.reshape(q.shape[:-1]).sum(axis=-1)
+            harvest = np.add.reduce(q_aq.reshape(q.shape[:-1]), axis=-1)
         else:
             harvest = np.einsum("...bsm,bmst,...btm->...b", q, work.quad, q)
-        transmit = (work.slope * q**2).reshape(q.shape[:-2] + (-1,)).sum(axis=-1)
+        transmit = np.add.reduce((work.slope * q**2).reshape(q.shape[:-2] + (-1,)),
+                                 axis=-1)
         return harvest - lam * (transmit + work.fixed)
 
     work = lanes.take(lane_of)
@@ -306,6 +346,8 @@ def _polish(lanes, lane_of, lam, seeds):
                    1.0)
     step = 1.0 / np.where(lip > 0, lip, 1.0)
     floor = step * 1e-12
+    # the transmit part of the gradient's factor, 2 lambda times the slope
+    lam_slope = (2.0 * lam)[:, None, None] * work.slope
     n, size = len(q), q[0].size
     q_out, best_out = np.empty_like(q), np.empty_like(best)
     trials_out = np.empty(n, dtype=int)
@@ -313,47 +355,69 @@ def _polish(lanes, lane_of, lam, seeds):
     # column j: the step factor 2**-j and the trial count after trial j
     ladder = np.ldexp(1.0, -np.arange(_PGA_MAX_BATCH))[:, None]
     counts = np.arange(1, _PGA_MAX_BATCH + 1)[:, None]
-    k = 1
+    # reach: the most trials a lane can have made, so the trial cap is
+    # tested only once some lane could meet it
+    k, grad, reach = 1, None, 0
     while True:
-        grad = (2.0 * _harvest_grad(work.quad, q)
-                - (2.0 * lam)[:, None, None] * work.slope * q)
+        if grad is None:
+            grad = 2.0 * _harvest_grad(work.quad, q) - lam_slope * q
         steps = step if k == 1 else step * ladder[:k]
-        trial_q = np.maximum(q + steps[..., None, None] * grad, 0.0)
-        trial_q = np.sqrt(work.project(trial_q**2))
+        trial_q = np.maximum(q + steps[..., None, None] * grad, _ZERO)
+        trial_q = work.project(trial_q**2)
+        np.sqrt(trial_q, out=trial_q)
         val = phi_of(work, trial_q)
+        reach += k
         j = 0
         if k > 1:
             # each lane's first trial that is accepted, stops it or is its
             # last; a lane with none takes trial k - 1, rejected
-            ends = ((val > best) | (steps * 0.5 < floor)
-                    | (trials + counts[:k] >= _PGA_MAX_ITER))
+            ends = (val > best) | (steps * 0.5 < floor)
+            if reach >= _PGA_MAX_ITER:
+                ends |= trials + counts[:k] >= _PGA_MAX_ITER
             ends[-1] = True
             j = ends.argmax(axis=0)
             pick = (j, np.arange(len(run)))
             trial_q, val, steps = trial_q[pick], val[pick], steps[pick]
         up = val > best
-        gain = val - best
-        q = np.where(up[:, None, None], trial_q, q)
-        best = np.where(up, val, best)
-        step = np.where(up, steps * 1.3, steps * 0.5)
-        trials = trials + (j + 1)
-        stop = (np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12), step < floor)
-                | (trials >= _PGA_MAX_ITER))
-        if stop.any():
+        trials += j + 1
+        n_up = np.count_nonzero(up)
+        every = n_up == len(up)
+        # the accept-or-reject update, without its selects when every lane
+        # accepted or every lane rejected
+        if every:
+            gain = val - best
+            q, best, step = trial_q, val, steps * 1.3
+            stop = gain <= 1e-13 * (np.abs(best) + 1e-12)
+            grad = None
+        elif n_up:
+            gain = val - best
+            q = np.where(up[:, None, None], trial_q, q)
+            best = np.where(up, val, best)
+            step = steps * np.where(up, 1.3, 0.5)
+            stop = np.where(up, gain <= 1e-13 * (np.abs(best) + 1e-12), step < floor)
+            grad = None
+        else:
+            step = steps * 0.5
+            stop = step < floor
+        if reach >= _PGA_MAX_ITER:
+            stop |= trials >= _PGA_MAX_ITER
+        if np.count_nonzero(stop):
             fin = run[stop]
             q_out[fin], best_out[fin] = q[stop], best[stop]
             trials_out[fin] = trials[stop]
-            keep = np.flatnonzero(~stop)
-            run, q, best, step, floor, lam, trials = (
-                a[keep] for a in (run, q, best, step, floor, lam, trials))
+            keep = (~stop).nonzero()[0]
+            run, q, best, step, floor, lam, lam_slope, trials = (
+                a[keep] for a in (run, q, best, step, floor, lam, lam_slope, trials))
+            if grad is not None:
+                grad = grad[keep]
             if not len(run):
                 break
             # freed before the gather from ``lanes``, so that no two
             # working copies of the harvest matrices are alive at once
             del work
             work = lanes.take(lane_of[run])
-        k = 1 if up.all() else max(1, min(_PGA_MAX_BATCH,
-                                          _PGA_BATCH_ENTRIES // (len(run) * size)))
+        k = 1 if every else max(1, min(_PGA_MAX_BATCH,
+                                       _PGA_BATCH_ENTRIES // (len(run) * size)))
     return q_out**2, best_out, trials_out
 
 
@@ -364,41 +428,46 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
     tolerance. Every ``_SHRINK_EVERY`` iterations each running lane's prox
     step shrinks by ``_SHRINK`` and its drift restarts from the last
     feasible point, so the harvest prox's system is rebuilt only then.
-    Returns each lane's last prox-consumption point, residual, iteration
-    count and prox step.
+    The stack that a lane's retirement leaves holds only what the
+    consumption prox reads, the lanes' masks and slopes; the harvest
+    matrices are gathered from the entry stack at a shrink. Returns each
+    lane's last prox-consumption point, residual, iteration count and
+    prox step.
     """
     n = len(lam)
     x_out = np.empty_like(start)
     residual_out, gamma_out = np.empty(n), np.empty(n)
     iters_out = np.empty(n, dtype=int)
-    run = np.arange(n)
+    entry, run = lanes, np.arange(n)
     z = start.copy()
     step, system = gamma * lam, harvest_system(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
         x = prox_consumption(lanes, z, step)
         y = prox_neg_harvest(2.0 * x - z, system)
+        drift = y - x
         # a stacked dot per lane: the same BLAS ddot as np.linalg.norm
-        f = (y - x).reshape(len(run), 1, -1)
+        f = drift.reshape(len(run), 1, -1)
         residual = np.sqrt((f @ f.transpose(0, 2, 1))[:, 0, 0])
-        if not np.all(np.isfinite(residual)):
+        if np.count_nonzero(np.isfinite(residual)) < len(run):
             raise SolverFault("DR splitting produced a non-finite residual "
                               "at sub-iteration %d" % (u + 1))
         done = residual <= pa_cfg.dr_residual_tol
-        if done.any():
+        if np.count_nonzero(done):
             fin = run[done]
             x_out[fin], residual_out[fin] = x[done], residual[done]
             iters_out[fin], gamma_out[fin] = u + 1, gamma[done]
-            keep = np.flatnonzero(~done)
-            run, x, y, z, residual, lam, gamma, step, system = (
-                a[keep] for a in (run, x, y, z, residual, lam, gamma, step, system))
+            keep = (~done).nonzero()[0]
+            run, x, z, drift, residual, lam, gamma, step, system = (
+                a[keep] for a in (run, x, z, drift, residual, lam, gamma, step, system))
             if not len(run):
                 break
-            lanes = lanes.take(keep)
-        z = z + (y - x)
+            lanes = entry.take(run, quad=False)
+        z += drift
         if (u + 1) % _SHRINK_EVERY == 0:
             gamma = gamma * _SHRINK
             z = x
-            step, system = gamma * lam, harvest_system(gamma, lanes.quad)
+            quad = entry.quad if len(run) == n else entry.take_quad(run)
+            step, system = gamma * lam, harvest_system(gamma, quad)
     x_out[run], residual_out[run] = x, residual
     iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
     return x_out, residual_out, iters_out, gamma_out
@@ -423,7 +492,7 @@ def dr_step(lanes, lam, gamma, omega0, pa_cfg):
     # ascend from both the DR candidate and the start: q = 0 entries are
     # stationary under the sqrt substitution, so a single seed can get stuck
     n = len(lam)
-    pair = np.tile(np.arange(n), 2)
+    pair = np.arange(2 * n) % n
     omega, phi, trials = _polish(lanes, pair, lam[pair],
                                  np.concatenate([candidate, start]))
     second = phi[n:] > phi[:n]

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -726,6 +730,39 @@ class TestCLI:
         # an S sweep over the same users stays valid
         spec = SweepSpec(variable="S", values=(2, 3))
         assert spec.cell(scenario_from_dict(json.loads(path.read_text())), 3, 0).n_sub == 3
+
+    @pytest.mark.parametrize("var, values, names", [
+        ("V", "1,4", ["--values 4 for V", "users.clusters.count=3"]),
+        ("S", "0,2", ["--values 0 for S"])])
+    def test_sweep_value_error_names_the_flag(self, tmp_path, capsys, var, values,
+                                              names):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--var", var, "--values", values,
+                     "--set", "users.clusters.count=3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in names:
+            assert name in err
+        assert not out.exists()
+
+    def test_warnings_print_one_line_each(self, tmp_path):
+        # every user of a one-module array lies beyond the near-field
+        # boundary; the command line says so once per user, without the
+        # library's file name or source line
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "xlwpt.cli", "powermap", "--res", "2",
+             "--set", "geometry.S=1", "--out", str(tmp_path / "pm.csv")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert len(lines) == ScenarioConfig().clusters.count
+        for m, line in enumerate(lines):
+            assert line.startswith("warning: user %d at range " % m)
+            assert "near-field service boundary" in line
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,11 +2,12 @@
 
 Checked on its source with ``ast``: every import sits at module level, no
 module reaches into another xlwpt module for a ``_private`` name, by
-import or by attribute, and every public top-level function or class is
-exported or used by the package or its demos, so no test-only API sits in
-the package. Checked in a fresh interpreter: importing the package starts
-no thread. Checked on the package: ``__all__`` lists each exported name
-once, and ``from xlwpt import *`` binds exactly those names.
+import or by attribute, no module uses a private NumPy name, and every
+public top-level function or class is exported or used by the package or
+its demos, so no test-only API sits in the package. Checked in a fresh
+interpreter: importing the package starts no thread. Checked on the
+package: ``__all__`` lists each exported name once, and
+``from xlwpt import *`` binds exactly those names.
 """
 
 import ast
@@ -78,6 +79,56 @@ def test_no_private_name_from_another_module(path):
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def private_numpy_names(tree):
+    """Every private NumPy name ``tree`` imports or reads through a NumPy name.
+
+    ``numpy._core``, ``numpy.linalg._umath_linalg`` and ``np._x`` are
+    private; dunder names such as ``np.__version__`` are not.
+    """
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import numpy.x as y`` binds y to numpy.x, ``import numpy.x`` binds numpy
+            imports = [(alias.name, alias.asname or "numpy") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imports = [("%s.%s" % (node.module, alias.name), alias.asname or alias.name)
+                       for alias in node.names]
+        else:
+            continue
+        for name, bound in imports:
+            if name.split(".")[0] == "numpy":
+                if any(map(private, name.split("."))):
+                    found.append(name)
+                aliases.add(bound)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_private_numpy_names_are_found():
+    tree = ast.parse("import numpy as np\nimport numpy._core\n"
+                     "from numpy.linalg import _umath_linalg, solve\n"
+                     "from numpy import linalg\n"
+                     "np._core.multiarray\nlinalg._linalg.solve\n"
+                     "np.add.reduce\nnp.__version__\nother._private\n")
+    assert sorted(private_numpy_names(tree)) == [
+        "linalg._linalg", "np._core", "numpy._core", "numpy.linalg._umath_linalg"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_numpy_name(path):
+    # the lane core cuts NumPy's call overhead on its public API only
+    assert private_numpy_names(parse(path)) == []
 
 
 def referenced_names(node):

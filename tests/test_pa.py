@@ -32,7 +32,7 @@ from xlwpt.power import (
     harvested_lanes,
     uniform_split,
 )
-from xlwpt.scenario import ScenarioConfig
+from xlwpt.scenario import ScenarioConfig, scenario_from_dict
 
 
 def make_channels(n_sub=2, n_users=2, seed=0, nx=4, ny=2):
@@ -329,6 +329,64 @@ class TestDRLoopOracle:
         if gamma_scale == 1.0:
             for lo, hi in ((10, 20), (20, 30), (30, iters.max())):
                 assert np.any((iters > lo) & (iters < hi)), (lo, hi)
+
+
+class TestSaFleetShapes:
+    """The lane core at the shapes PA-FA and PA-SA solve: 1 or 2 lanes, S = 16.
+
+    One lane holds the full array and the other a fractional a~ with
+    switched-off rows, as a PA-SA outer iterate does; both start from the
+    uniform split at its own ratio, as the first Dinkelbach iteration does.
+    """
+
+    @staticmethod
+    def problem(n_users, n_lanes, seed):
+        cfg = scenario_from_dict({
+            "geometry": {"S": 16},
+            "users": {"clusters": {"V": 1, "count": n_users}},
+            "solver": {"seed": seed}})
+        ch, pa_cfg, power_cfg = cfg.channel_set(), cfg.pa_config(), cfg.power
+        rng = np.random.default_rng(seed)
+        fractional = rng.uniform(0.02, 0.12, 16) * (rng.random(16) < 0.6)
+        fractional[0] = 0.1
+        a_tilde = np.stack([np.ones(16), fractional])[:n_lanes]
+        stack = pa.Lanes.build(ch, a_tilde, power_cfg)
+        start = stack.project(np.broadcast_to(uniform_split(ch, power_cfg),
+                                              stack.allowed.shape))
+        lam = (harvested_lanes(ch, start, a_tilde)
+               / consumed_lanes(start, a_tilde, power_cfg, n_users, ch.n_elements))
+        return stack, lam, pa.initial_gamma(stack.lam_max, pa_cfg), start, pa_cfg
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    @pytest.mark.parametrize("n_lanes", [1, 2])
+    def test_dr_step_matches_oracle(self, monkeypatch, n_users, n_lanes):
+        stack, lam, gamma, start, pa_cfg = self.problem(n_users, n_lanes, seed=11)
+        omega, info = pa.dr_step(stack, lam, gamma, start, pa_cfg)
+        monkeypatch.setattr(pa, "_dr_loop", oracle_dr_loop)
+        want_omega, want_info = pa.dr_step(stack, lam, gamma, start, pa_cfg)
+        assert omega.tobytes() == want_omega.tobytes()
+        for key in want_info:
+            assert info[key].tobytes() == want_info[key].tobytes(), key
+        # the loop runs past a prox-step shrink; with two lanes of three
+        # users one lane leaves before the last shrink, which gathers the
+        # harvest matrices of the lane left
+        iters = info["dr_iterations"]
+        assert iters.max() > 10
+        if n_lanes == 2 and n_users == 3:
+            every = pa._SHRINK_EVERY
+            assert iters.min() < every * (iters.max() // every)
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    @pytest.mark.parametrize("n_lanes", [1, 2])
+    def test_polish_matches_sequential_polish(self, n_users, n_lanes):
+        stack, lam, gamma, start, pa_cfg = self.problem(n_users, n_lanes, seed=5)
+        x, _, _, _ = pa._dr_loop(stack, lam, gamma, start, pa_cfg)
+        lane_of = np.arange(2 * n_lanes) % n_lanes
+        seeds = np.concatenate([stack.project(x), start])
+        got = pa._polish(stack, lane_of, lam[lane_of], seeds)
+        want = sequential_polish(stack, lane_of, lam[lane_of], seeds)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestDeadUsers:
