@@ -90,7 +90,7 @@ class SweepSpec:
             raise ValueError("sweep values must be distinct, got %s"
                              % ",".join(str(v) for v in self.values))
         if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise ValueError("--reps %d: repetitions must be >= 1" % self.repetitions)
 
     def cell(self, cfg, value, rep):
         """The config of one cell: ``cfg`` with this axis at ``value``.

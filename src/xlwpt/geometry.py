@@ -159,10 +159,7 @@ def radiation_pattern(theta, b):
     """Cosine element gain: 2(b+1) cos^b(theta) on [0, pi/2], zero elsewhere."""
     theta = np.asarray(theta, dtype=float)
     inside = (theta >= 0.0) & (theta <= np.pi / 2.0)
-    gain = np.where(inside, 2.0 * (b + 1.0) * np.cos(np.where(inside, theta, 0.0)) ** b, 0.0)
-    if gain.ndim == 0:
-        return float(gain)
-    return gain
+    return np.where(inside, 2.0 * (b + 1.0) * np.cos(np.where(inside, theta, 0.0)) ** b, 0.0)
 
 
 def channel(geom, s, user):

@@ -154,19 +154,21 @@ def project_feasible(omega_raw, p_sub, active):
 
     Clamps negatives, zeroes inactive entries and projects every
     overweight row onto its capped simplex with the sort-based rule (Duchi
-    et al. 2008). ``active`` masks entries, or rows when its shape is a
-    prefix of ``omega_raw``'s, and broadcasts over leading axes. No total
-    budget is needed: P_t = S * P_s, so the row caps imply it for any
-    activation; ``AllocationState.validate`` still checks it.
+    et al. 2008). ``active`` masks by NumPy's broadcasting: its last two
+    axes are (S, M), or (S, 1) for sub-array rows, its leading axes
+    broadcast to ``omega_raw``'s, and any other shape raises ValueError.
+    No total budget is needed: P_t = S * P_s, so the row caps imply it
+    for any activation; ``AllocationState.validate`` still checks it.
     Row sums and prefix sums add the user columns left to right, as
     NumPy's row ``sum`` adds fewer than 8 entries; rows of M >= 8 keep
     ``sum``, which adds them in interleaved partial sums.
     """
     raw = np.asarray(omega_raw, dtype=float)
     active = np.asarray(active, dtype=bool)
-    if active.ndim < raw.ndim:
-        # a mask of rows, or of lanes' rows: it holds for every user column
-        active = active.reshape(active.shape + (1,) * (raw.ndim - active.ndim))
+    tail = active.shape[-2:]
+    if tail != raw.shape[-2:] and tail != raw.shape[-2:-1] + (1,) or active.ndim < 2:
+        raise ValueError("active must end in (S, M) = %s or (S, 1) axes, got shape %s"
+                         % (raw.shape[-2:], active.shape))
     # C order, so that ``rows`` below is a view of it
     omega = np.zeros(raw.shape)
     np.maximum(raw, _ZERO, out=omega, where=active)
@@ -255,11 +257,7 @@ class Lanes:
 
     def project(self, omega):
         """``omega`` (..., B, S, M) projected onto each lane's feasible set."""
-        allowed = self.allowed
-        if omega.ndim > allowed.ndim:
-            # leading trial axes: each lane's mask holds for all its trials
-            allowed = allowed.reshape((1,) * (omega.ndim - allowed.ndim) + allowed.shape)
-        return project_feasible(omega, self.p_sub, allowed)
+        return project_feasible(omega, self.p_sub, self.allowed)
 
 
 def prox_consumption(lanes, z, step):
@@ -290,7 +288,8 @@ def prox_neg_harvest(v, system):
     q = np.linalg.solve(system, q0.swapaxes(-1, -2)[..., None])[..., 0]
     if np.count_nonzero(np.isfinite(q)) < q.size:
         raise SolverFault("harvest prox produced non-finite iterates")
-    return q.swapaxes(-1, -2)**2
+    # into the root buffer, in v's order, so the DR loop's y - x runs contiguous
+    return np.square(q.swapaxes(-1, -2), out=q0)
 
 
 def _harvest_grad(quad, q):
@@ -344,7 +343,8 @@ def _polish(lanes, lane_of, lam, seeds):
     lip = np.where(work.lam_max + lam > 0,
                    2.0 * work.lam_max + 2.0 * lam * work.slope.max(axis=(1, 2)),
                    1.0)
-    step = 1.0 / np.where(lip > 0, lip, 1.0)
+    # a subnormal curvature counts as none, as its reciprocal overflows
+    step = 1.0 / np.where(lip >= np.finfo(float).tiny, lip, 1.0)
     floor = step * 1e-12
     # the transmit part of the gradient's factor, 2 lambda times the slope
     lam_slope = (2.0 * lam)[:, None, None] * work.slope

@@ -170,11 +170,11 @@ def sort_projection(omega_raw, p_sub, active):
     The same capped-simplex rule (Duchi et al. 2008) with NumPy's row
     ``sum``, ``cumsum`` of the descending row and a reversed ``argmax``
     for the last k with u_k > tau_k (the last index when none is, as in
-    inf and NaN rows); the column kernel must give its bytes.
+    inf and NaN rows); the column kernel must give its bytes. ``active``
+    is an (S, M) or (S, 1) mask, as there.
     """
-    active = np.asarray(active, dtype=bool)
     omega = np.maximum(np.asarray(omega_raw, dtype=float), 0.0)
-    omega[~active] = 0.0
+    omega = np.where(active, omega, 0.0)
     over = omega.sum(axis=-1) > p_sub
     if over.any():
         v = omega[over]
@@ -209,7 +209,8 @@ def sequential_polish(lanes, lane_of, lam, seeds, max_iter=500):
     lip = np.where(work.lam_max + lam > 0,
                    2.0 * work.lam_max + 2.0 * lam * work.slope.max(axis=(1, 2)),
                    1.0)
-    step = 1.0 / np.where(lip > 0, lip, 1.0)
+    # a subnormal curvature counts as none, as its reciprocal overflows
+    step = 1.0 / np.where(lip >= np.finfo(float).tiny, lip, 1.0)
     floor = step * 1e-12
     q_out, best_out = np.empty_like(q), np.empty_like(best)
     trials_out = np.full(len(q), max_iter)

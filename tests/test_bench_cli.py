@@ -746,6 +746,13 @@ class TestCLI:
             assert name in err
         assert not out.exists()
 
+    def test_sweep_reps_error_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--reps", "0", "--values", "2,3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --reps 0: repetitions must be >= 1\n"
+        assert not out.exists()
+
     def test_warnings_print_one_line_each(self, tmp_path):
         # every user of a one-module array lies beyond the near-field
         # boundary; the command line says so once per user, without the

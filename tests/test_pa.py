@@ -68,23 +68,23 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         v = rng.normal(0.5, 1.0, size=(1, 5))
         cap = rng.uniform(0.2, 2.0)
-        got = project_feasible(v, cap, np.array([True]))
+        got = project_feasible(v, cap, np.array([[True]]))
         want = capped_simplex_oracle(v[0], cap)
         np.testing.assert_allclose(got[0], want, atol=1e-9)
 
     def test_feasible_point_unchanged(self):
         v = np.array([[0.1, 0.2], [0.0, 0.3]])
-        got = project_feasible(v, 0.5, np.array([True, True]))
+        got = project_feasible(v, 0.5, np.array([[True], [True]]))
         np.testing.assert_allclose(got, v)
 
     def test_inactive_rows_zeroed(self):
         v = np.full((2, 2), 0.1)
-        got = project_feasible(v, 0.5, np.array([True, False]))
+        got = project_feasible(v, 0.5, np.array([[True], [False]]))
         assert np.all(got[1] == 0.0)
         np.testing.assert_allclose(got[0], v[0])
 
     def test_negative_entries_clamped(self):
-        got = project_feasible(np.array([[-0.4, 0.1]]), 1.0, np.array([True]))
+        got = project_feasible(np.array([[-0.4, 0.1]]), 1.0, np.array([[True]]))
         np.testing.assert_allclose(got, [[0.0, 0.1]])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -93,11 +93,30 @@ class TestProjection:
         v = rng.normal(0, 1, size=(4, 3))
         active = rng.integers(0, 2, 4).astype(bool)
         active[0] = True
-        got = project_feasible(v, 0.3, active)
+        got = project_feasible(v, 0.3, active[:, None])
         assert np.all(got >= 0)
         assert np.all(got.sum(axis=1) <= 0.3 + 1e-12)
         assert got.sum() <= len(v) * 0.3 * (1 + 1e-12)
         assert np.all(got[~active] == 0.0)
+
+    def test_row_mask_on_a_lane_stack(self):
+        got = project_feasible(np.full((4, 4, 2), 0.3), 1.0,
+                               np.array([True, False, True, False])[:, None])
+        assert np.all(got[:, 1::2] == 0.0)
+        assert np.all(got[:, 0::2] == 0.3)
+
+    @pytest.mark.parametrize("shape, mask", [
+        # a bare row mask on S = 4 lanes would read as a mask of lanes
+        ((4, 4, 2), [True, False, True, False]),
+        ((3, 4, 2), [True, False, True, False]),
+        ((2, 3), [True, False]),
+        ((2, 3), [[True], [False], [True]]),        # S = 3 rows for S = 2
+        ((2, 3), [[True, False], [False, True]]),   # M = 2 users for M = 3
+        ((2, 3), [[[True] * 3] * 3]),               # (1, 3, 3)
+    ])
+    def test_mask_without_s_m_or_s_1_axes_rejected(self, shape, mask):
+        with pytest.raises(ValueError, match="active"):
+            project_feasible(np.full(shape, 0.3), 1.0, np.array(mask))
 
 
 class TestLaneProjection:
@@ -121,11 +140,27 @@ class TestLaneProjection:
         assert (~active).any()
         assert ((row > self.P_SUB).sum(axis=-1) >= 2).any()
 
-        got = project_feasible(v, self.P_SUB, active)
+        got = project_feasible(v, self.P_SUB, active[..., None])
         assert got.shape == v.shape
         for lane in range(len(v)):
-            want = project_feasible(v[lane], self.P_SUB, active[lane])
+            want = project_feasible(v[lane], self.P_SUB, active[lane, :, None])
             assert got[lane].tobytes() == want.tobytes()
+
+    def test_trial_stack_matches_one_trial_calls(self):
+        # the polish projects (k, B, S, M) trial stacks with the (B, S, M) masks
+        _, ch = make_channels(n_sub=4, n_users=3, seed=5)
+        a_tilde = np.array([[1.0, 0.0, 0.5, 1.0], [0.0, 1.0, 1.0, 0.25],
+                            [1.0, 1.0, 1.0, 1.0]])
+        stack = pa.Lanes.build(ch, a_tilde, PowerConfig())
+        rng = np.random.default_rng(11)
+        trials = rng.normal(0.0, stack.p_sub, size=(5,) + stack.allowed.shape)
+        assert (~stack.allowed).any()
+        assert (np.maximum(trials, 0.0).sum(axis=-1) > stack.p_sub).any()
+
+        got = stack.project(trials)
+        assert got.shape == trials.shape
+        for i, trial in enumerate(trials):
+            assert got[i].tobytes() == stack.project(trial).tobytes()
 
 
 class TestLaneStack:
@@ -198,6 +233,19 @@ class TestPolishBatching:
         # one trial first, then full batches of halvings
         k = min(pa._PGA_MAX_BATCH, pa._PGA_BATCH_ENTRIES // 4)
         assert calls["n"] == 1 + -(-39 // k)
+
+    def test_subnormal_curvature_takes_a_finite_step(self):
+        # a weight of 1e-160 leaves a subnormal curvature, whose reciprocal
+        # overflows; the lane steps as if it had none, with the oracle's bits
+        _, ch = make_channels(n_sub=1, n_users=1, seed=2)
+        stack = pa.Lanes.build(ch, np.array([[1e-160]]), PowerConfig())
+        assert 0.0 < stack.lam_max[0] < np.finfo(float).tiny
+        args = (stack, np.array([0]), np.array([0.0]), np.zeros((1, 1, 1)))
+        got = pa._polish(*args)
+        want = sequential_polish(*args)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got[2].tolist() == [40] and not got[0].any()
 
     @staticmethod
     def one_user_stack(seed, a_tilde):
@@ -544,7 +592,7 @@ class TestProxConsumption:
         target = z - gamma * lam * (a_tilde / cfg.varsigma)[:, None]
         for _ in range(60):
             w = rng.uniform(0, p_sub / 2, size=(2, 2))
-            w = project_feasible(w, p_sub, a_tilde > 0)
+            w = project_feasible(w, p_sub, (a_tilde > 0)[:, None])
             assert np.sum((w - x) * (x - target)) >= -1e-9
 
     def test_grid_refinement_oracle(self):
@@ -689,7 +737,7 @@ class TestDRSolve:
         start = np.full((3, 2), cfg.p_sub(ch.n_elements) / 2)
         lam = 0.005
         omega, info = dr_solve(ch, a_tilde, lam, pa_cfg, cfg, omega0=start)
-        x0 = project_feasible(start, cfg.p_sub(ch.n_elements), a_tilde > 0)
+        x0 = project_feasible(start, cfg.p_sub(ch.n_elements), (a_tilde > 0)[:, None])
         phi_start = (harvested_lanes(ch, x0, a_tilde)
                      - lam * consumed_lanes(x0, a_tilde, cfg, ch.n_users, ch.n_elements))
         assert info["phi"] >= phi_start - 1e-12

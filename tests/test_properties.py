@@ -48,7 +48,7 @@ def lane_stacks(draw):
 @given(lane_stacks())
 def test_projection_feasible_idempotent_and_lane_exact(stack):
     v, active, p_sub = stack
-    got = project_feasible(v, p_sub, active)
+    got = project_feasible(v, p_sub, active[..., None])
 
     assert np.all(got >= 0.0)
     assert np.all(got[~active] == 0.0)
@@ -56,7 +56,7 @@ def test_projection_feasible_idempotent_and_lane_exact(stack):
     # no total budget is passed: the row caps imply P_t = S * P_s
     assert np.all(got.sum(axis=(-2, -1)) <= v.shape[-2] * p_sub * (1 + 1e-12))
 
-    again = project_feasible(got, p_sub, active)
+    again = project_feasible(got, p_sub, active[..., None])
     np.testing.assert_allclose(again, got, rtol=1e-12, atol=1e-15)
 
     # one element per sub-array, so P_s = P_et
@@ -64,7 +64,7 @@ def test_projection_feasible_idempotent_and_lane_exact(stack):
     for lane in range(len(v)):
         AllocationState(got[lane], a=active[lane],
                         a_tilde=active[lane]).validate(power_cfg, 1)
-        want = project_feasible(v[lane], p_sub, active[lane])
+        want = project_feasible(v[lane], p_sub, active[lane, :, None])
         assert got[lane].tobytes() == want.tobytes()
 
 
@@ -100,6 +100,8 @@ def test_projection_keeps_the_bits_of_the_row_reductions(shape, seed, kind, full
         if 0.0 < row.sum() < np.inf:
             p_sub = float(row.sum())
     active = rng.random(shape if full_mask else shape[:-1]) < 0.8
+    if not full_mask:
+        active = active[..., None]  # a mask of sub-array rows
     with np.errstate(invalid="ignore"):  # inf - inf in inf rows, as before
         got, want = project_feasible(v, p_sub, active), sort_projection(v, p_sub, active)
     assert got.tobytes() == want.tobytes()
@@ -223,7 +225,7 @@ def test_projection_meets_its_kkt_conditions(stack):
     v, _, _, a_tilde, n_elements, omega = stack
     active = a_tilde > 0
     p_sub = PowerConfig().p_sub(n_elements)
-    p = project_feasible(v, p_sub, active)
+    p = project_feasible(v, p_sub, active[..., None])
     scale = 1.0 + np.abs(v).sum(axis=(-2, -1)) * p_sub
     inner = np.sum((v - p) * (omega - p), axis=(-2, -1))
     assert np.all(inner <= 1e-12 * scale)

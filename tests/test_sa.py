@@ -174,7 +174,7 @@ class TestWarmStartHandOff:
         pa_cfg, power_cfg = base.pa_config(), base.power
         for ch, a_tilde, start in pairs:
             projected = project_feasible(start, power_cfg.p_sub(ch.n_elements),
-                                         a_tilde > 0)
+                                         (a_tilde > 0)[:, None])
             got = pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=start)
             want = pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=projected)
             assert got[0].tobytes() == want[0].tobytes()
