@@ -171,7 +171,11 @@ def project_feasible(omega_raw, p_sub, active):
                          % (raw.shape[-2:], active.shape))
     # C order, so that ``rows`` below is a view of it
     omega = np.zeros(raw.shape)
-    np.maximum(raw, _ZERO, out=omega, where=active)
+    try:
+        np.maximum(raw, _ZERO, out=omega, where=active)
+    except ValueError as exc:
+        raise ValueError("active of shape %s does not broadcast to omega_raw's %s"
+                         % (active.shape, raw.shape)) from exc
     n = omega.shape[-1]
     if n < 8:
         # column adds: a reduction over the last axis pays a fixed cost

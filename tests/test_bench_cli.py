@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
@@ -43,6 +44,15 @@ SMALL_JSON = {
 }
 
 
+def float_table(n_rows):
+    """An (n_rows, 3) float table: signs, magnitudes 1e-300 to 1e300, -0.0 and inf."""
+    rng = np.random.default_rng(n_rows)
+    rows = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    rows[::7, 0] = -0.0
+    rows[::11, 2] = np.inf
+    return rows
+
+
 def mask_timings(text):
     """Blank out wall-clock fields so runs can be compared byte-for-byte."""
     lines = text.splitlines()
@@ -75,13 +85,31 @@ class TestWriters:
         [[0.5, 1.5], [0.5, None], ['q"1', 7.0], [float("nan"), -0.0], [3, 4.0]],
         np.array([[float("inf"), float("-inf"), float("nan")],
                   [-0.0, 5e-324, 1.7976931348623157e308], [1e22, 0.1, 1.0]]),
-    ], ids=["all_float", "mixed", "interleaved", "float_table"])
+        # a float table goes out in blocks of _CSV_BLOCK_ROWS rows
+        float_table(0),
+        float_table(1),
+        float_table(bench._CSV_BLOCK_ROWS),
+        float_table(bench._CSV_BLOCK_ROWS + 1),
+        float_table(3 * bench._CSV_BLOCK_ROWS + bench._CSV_BLOCK_ROWS // 2),
+    ], ids=["all_float", "mixed", "interleaved", "float_table", "no_rows",
+            "one_row", "one_block", "one_block_and_a_row", "partial_last_block"])
     def test_csv_bytes_equal_csv_writer_oracle(self, tmp_path, rows):
         path = tmp_path / "t.csv"
         header = ["a", "b, c", 'd"']
         bench._write_csv(path, header, rows if isinstance(rows, np.ndarray)
                          else [tuple(row) for row in rows])
         assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
+    def test_float_table_memory_does_not_grow_with_its_rows(self, tmp_path):
+        # the whole text of these 200,000 rows is ~13 MB
+        rows = float_table(200_000)
+        tracemalloc.start()
+        try:
+            bench._write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_json_exact_bytes(self, tmp_path):
         path = tmp_path / "t.json"

@@ -113,6 +113,9 @@ class TestProjection:
         ((2, 3), [[True], [False], [True]]),        # S = 3 rows for S = 2
         ((2, 3), [[True, False], [False, True]]),   # M = 2 users for M = 3
         ((2, 3), [[[True] * 3] * 3]),               # (1, 3, 3)
+        # leading axes that do not broadcast to omega_raw's
+        ((3, 4, 2), np.ones((2, 4, 2), dtype=bool)),
+        ((4, 2), np.ones((3, 4, 2), dtype=bool)),
     ])
     def test_mask_without_s_m_or_s_1_axes_rejected(self, shape, mask):
         with pytest.raises(ValueError, match="active"):
