@@ -257,7 +257,7 @@ def probe_grid(cfg, plane="xz", extent=None, resolution=40):
     one coordinate plane: rows run over the plane's second axis, and over
     its first within each row. The plane sits at y = 0 for xz, x = 0 for
     yz, and the users' mean depth z for xy, which lies in front of the
-    array. Each default extent holds the array's width and every user: a
+    array. Each default extent holds every element and every user: a
     square about boresight for xy, and for xz/yz a depth of twice the
     cluster range or farthest user, at least 1 m. A raster too large for
     memory raises MemoryError.
@@ -268,14 +268,20 @@ def probe_grid(cfg, plane="xz", extent=None, resolution=40):
         raise ValueError("plane must be one of xz, yz, xy")
     geom = cfg.geometry()
     half = geom.n_sub * geom.nx * geom.d / 2.0
+    # the farthest element along x and along y: a module's elements span
+    # (nx - 1) d and (ny - 1) d from its corner origin
+    lo = np.array(geom.sub_array_origins)[:, :2]
+    hi = lo + [(geom.nx - 1) * geom.d, (geom.ny - 1) * geom.d]
+    far = np.maximum(np.abs(lo), np.abs(hi)).max(axis=0)
     users = cfg.users()
     # the plane's coordinate on its third axis
     offset = np.mean([p.z for p in users]) if plane == "xy" else 0.0
     if extent is None and plane == "xy":
-        half = max([half] + [max(abs(p.x), abs(p.y)) for p in users])
+        half = max([half, *far] + [max(abs(p.x), abs(p.y)) for p in users])
         extent = (-half, half, -half, half)
     elif extent is None:
-        half = max([half] + [abs(p.x if plane == "xz" else p.y) for p in users])
+        half = max([half, far[0 if plane == "xz" else 1]]
+                   + [abs(p.x if plane == "xz" else p.y) for p in users])
         depth = max([2.0 * cfg.clusters.range_m, 1.0] + [2.0 * p.z for p in users])
         extent = (-half, half, 0.05, depth)
     u = np.linspace(extent[0], extent[1], resolution)

@@ -215,7 +215,7 @@ class Lanes:
 
     a_tilde: np.ndarray      # (B, S) parameterized activations
     allowed: np.ndarray      # (B, S, M) active row, user some active row reaches
-    quad: np.ndarray         # (B, M, S, S) harvest matrices, or None (see take)
+    quad: np.ndarray         # (B, M, S, S) harvest matrices
     lam_max: np.ndarray      # (B,) largest eigenvalue of each lane's matrices
     slope: np.ndarray        # (B, S, 1) transmit slope of P_c
     fixed: np.ndarray        # (B,) circuit power of P_c
@@ -239,25 +239,17 @@ class Lanes:
         return cls(a_tilde, allowed, quad, quadratic_sup(quad), slope, fixed,
                    power_cfg.p_sub(ch.n_elements))
 
-    def take(self, idx, quad=True):
-        """The lanes at ``idx``; with ``quad=False`` their ``quad`` is None.
-
-        A stack without harvest matrices still projects and gives its
-        slopes, which is all the DR loop's consumption prox reads.
-        """
-        return Lanes(self.a_tilde[idx], self.allowed[idx],
-                     self.take_quad(idx) if quad else None, self.lam_max[idx],
-                     self.slope[idx], self.fixed[idx], self.p_sub)
-
-    def take_quad(self, idx):
-        """The harvest matrices of the lanes at ``idx``, in their memory order.
+    def take(self, idx):
+        """The lanes at ``idx``, their harvest matrices in memory order.
 
         The harvest value's einsum and the one-user gradient sum in stride
         order. The gather runs along the leading axis of the contiguous
         array, in one copy: one into the strided (B, M, S, S) view would
         also copy the source and buffer the output.
         """
-        return self.quad.transpose(0, 2, 3, 1)[idx].transpose(0, 3, 1, 2)
+        return Lanes(self.a_tilde[idx], self.allowed[idx],
+                     self.quad.transpose(0, 2, 3, 1)[idx].transpose(0, 3, 1, 2),
+                     self.lam_max[idx], self.slope[idx], self.fixed[idx], self.p_sub)
 
     def project(self, omega):
         """``omega`` (..., B, S, M) projected onto each lane's feasible set."""
@@ -359,9 +351,7 @@ def _polish(lanes, lane_of, lam, seeds):
     # column j: the step factor 2**-j and the trial count after trial j
     ladder = np.ldexp(1.0, -np.arange(_PGA_MAX_BATCH))[:, None]
     counts = np.arange(1, _PGA_MAX_BATCH + 1)[:, None]
-    # reach: the most trials a lane can have made, so the trial cap is
-    # tested only once some lane could meet it
-    k, grad, reach = 1, None, 0
+    k, grad = 1, None
     while True:
         if grad is None:
             grad = 2.0 * _harvest_grad(work.quad, q) - lam_slope * q
@@ -370,14 +360,12 @@ def _polish(lanes, lane_of, lam, seeds):
         trial_q = work.project(trial_q**2)
         np.sqrt(trial_q, out=trial_q)
         val = phi_of(work, trial_q)
-        reach += k
         j = 0
         if k > 1:
             # each lane's first trial that is accepted, stops it or is its
             # last; a lane with none takes trial k - 1, rejected
-            ends = (val > best) | (steps * 0.5 < floor)
-            if reach >= _PGA_MAX_ITER:
-                ends |= trials + counts[:k] >= _PGA_MAX_ITER
+            ends = ((val > best) | (steps * 0.5 < floor)
+                    | (trials + counts[:k] >= _PGA_MAX_ITER))
             ends[-1] = True
             j = ends.argmax(axis=0)
             pick = (j, np.arange(len(run)))
@@ -403,8 +391,7 @@ def _polish(lanes, lane_of, lam, seeds):
         else:
             step = steps * 0.5
             stop = step < floor
-        if reach >= _PGA_MAX_ITER:
-            stop |= trials >= _PGA_MAX_ITER
+        stop |= trials >= _PGA_MAX_ITER
         if np.count_nonzero(stop):
             fin = run[stop]
             q_out[fin], best_out[fin] = q[stop], best[stop]
@@ -431,18 +418,15 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
     A lane leaves the working arrays once its residual meets the
     tolerance. Every ``_SHRINK_EVERY`` iterations each running lane's prox
     step shrinks by ``_SHRINK`` and its drift restarts from the last
-    feasible point, so the harvest prox's system is rebuilt only then.
-    The stack that a lane's retirement leaves holds only what the
-    consumption prox reads, the lanes' masks and slopes; the harvest
-    matrices are gathered from the entry stack at a shrink. Returns each
-    lane's last prox-consumption point, residual, iteration count and
-    prox step.
+    feasible point, so the harvest prox's system is rebuilt only then,
+    from the running lanes' harvest matrices. Returns each lane's last
+    prox-consumption point, residual, iteration count and prox step.
     """
     n = len(lam)
     x_out = np.empty_like(start)
     residual_out, gamma_out = np.empty(n), np.empty(n)
     iters_out = np.empty(n, dtype=int)
-    entry, run = lanes, np.arange(n)
+    run = np.arange(n)
     z = start.copy()
     step, system = gamma * lam, harvest_system(gamma, lanes.quad)
     for u in range(pa_cfg.max_dr):
@@ -465,13 +449,12 @@ def _dr_loop(lanes, lam, gamma, start, pa_cfg):
                 a[keep] for a in (run, x, z, drift, residual, lam, gamma, step, system))
             if not len(run):
                 break
-            lanes = entry.take(run, quad=False)
+            lanes = lanes.take(keep)
         z += drift
         if (u + 1) % _SHRINK_EVERY == 0:
             gamma = gamma * _SHRINK
             z = x
-            quad = entry.quad if len(run) == n else entry.take_quad(run)
-            step, system = gamma * lam, harvest_system(gamma, quad)
+            step, system = gamma * lam, harvest_system(gamma, lanes.quad)
     x_out[run], residual_out[run] = x, residual
     iters_out[run], gamma_out[run] = pa_cfg.max_dr, gamma
     return x_out, residual_out, iters_out, gamma_out

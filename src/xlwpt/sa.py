@@ -152,7 +152,9 @@ def joint_solve(ch, pa_cfg, sa_cfg, power_cfg, first=None):
         report.active_trace.append(a.copy())
         record(pa_trace)
         report.outer_iterations = i
-        if gamma_prev is not None and abs(gamma_i - gamma_prev) < sa_cfg.delta * gamma_prev:
+        # an unchanged HPE also stops the loop, as a relative test cannot at 0
+        if gamma_prev is not None and (gamma_i == gamma_prev or
+                                       abs(gamma_i - gamma_prev) < sa_cfg.delta * gamma_prev):
             report.converged = True
             break
 

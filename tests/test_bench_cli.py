@@ -452,6 +452,24 @@ class TestPowerMap:
         assert np.all(np.diff(probes[..., first], axis=1) > 0)
         assert np.all(np.diff(probes[..., second], axis=0) > 0)
 
+    def test_default_extent_holds_placed_modules(self):
+        # elements span x in [-3.0, 3.55] m; the users lie within 1.6 m
+        cfg = scenario_from_dict({"geometry": {"S": 2, "origins": [[-3, 0, 0], [2, 0, 0]]}})
+        spans = {plane: np.ptp(bench.probe_grid(cfg, plane, resolution=3)[..., :2], axis=(0, 1))
+                 for plane in ("xz", "yz", "xy")}
+        assert spans["xz"][0] == spans["xy"][0] == spans["xy"][1] == pytest.approx(7.1)
+        # the modules' y extent, (Ny - 1) d = 0.35 m, lies inside S Nx d / 2
+        assert spans["yz"][1] == 2 * 1.6
+
+    @pytest.mark.parametrize("plane", ["xz", "yz", "xy"])
+    def test_default_layout_extent_is_the_array_width(self, plane):
+        # the farthest element, (S Nx d - d) / 2, lies inside S Nx d / 2
+        cfg = scenario_from_dict({})
+        half = cfg.n_sub * cfg.nx * cfg.d / 2.0
+        axes = ["xyz".index(axis) for axis in plane]
+        first = bench.probe_grid(cfg, plane, resolution=3)[..., axes[0]]
+        assert first.min() == -half and first.max() == half
+
     @pytest.mark.parametrize("plane", ["xz", "yz", "xy"])
     def test_csv_columns_are_the_probe_coordinates(self, tmp_path, plane):
         cfg = small_cfg()
@@ -701,6 +719,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "2^3 subsets, past the cap of 2 sub-arrays" in err
         assert "raise solver.es_cap" in err
+
+    def test_solver_fault_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "pm.csv"
+        with warnings.catch_warnings():
+            # the overflow that leads to the fault warns first
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["powermap", "--res", "3", "--set", "power.P_et=1e300",
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "solver fault: DR splitting produced a non-finite residual "
+            "at sub-iteration 1\n")
+        assert not out.exists()
 
     def test_unreadable_scenario_exit_code(self, tmp_path, capsys):
         for path in (tmp_path / "missing.json", tmp_path):

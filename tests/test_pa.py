@@ -5,6 +5,7 @@ inequalities for both prox operators, and exhaustive grids for small
 whole-solver instances.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -534,6 +535,17 @@ class TestSolverChecks:
         _, ch = make_channels(n_sub=2, n_users=2, seed=1)
         with pytest.raises(SolverFault, match="non-finite"):
             dr_solve(ch, np.ones(2), np.nan, PAConfig(), PowerConfig())
+
+    def test_non_finite_dr_residual_is_a_fault(self):
+        # a 1e300 W element cap overflows the first DR step; NumPy warns of
+        # the overflow before the loop's own check raises
+        _, ch = make_channels(n_sub=2, n_users=2, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SolverFault) as fault:
+                pa_solve(ch, np.ones(2), PAConfig(), PowerConfig(p_et=1e300))
+        assert str(fault.value) == ("DR splitting produced a non-finite residual "
+                                    "at sub-iteration 1")
 
 
 class TestQuadraticForm:

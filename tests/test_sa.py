@@ -139,6 +139,19 @@ class TestJointSolve:
             assert len(lams) == len(residuals) > 0
             assert all(b >= a for a, b in zip(lams, lams[1:]))
 
+    def test_all_zero_hpe_trace_converges(self):
+        # a boresight exponent of 1e6 underflows every channel to 0, so every
+        # HPE is 0 and no relative change can fall below delta
+        cfg = ScenarioConfig(n_sub=3, boresight_exp=1e6)
+        ch = cfg.channel_set()
+        assert not np.any(ch.gram)
+        _, report = joint_solve(ch, cfg.pa, cfg.sa, cfg.power)
+        assert report.converged
+        assert report.hpe_trace == [0.0, 0.0]
+        assert report.outer_iterations == 2
+        # two outer solves and the binary re-solve
+        assert len(report.lambda_trace) == 3
+
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             SAConfig(delta=0.0)
