@@ -14,6 +14,7 @@ from xlwpt.geometry import (
     radiation_pattern,
     sub_array_center,
 )
+from xlwpt.pa import solve_lanes
 from xlwpt.power import consumed_lanes, harvested_lanes
 
 GRID_ORACLE_MAX_VARS = 4
@@ -238,3 +239,21 @@ def sequential_polish(lanes, lane_of, lam, seeds, max_iter=500):
             work = lanes.take(lane_of[run])
     q_out[run], best_out[run] = q, best
     return q_out**2, best_out, trials_out
+
+
+def enumerate_pa_es(ch, pa_cfg, power_cfg):
+    """PA-ES that solves every non-empty subset, with no bound to skip any.
+
+    One lane stack holds all 2^S - 1 subsets, subset i (bit s set when
+    sub-array s is on) in row i - 1, and each is scored with ``hpe()``'s
+    lane kernels. The winner is the highest HPE, ties broken toward fewer
+    active sub-arrays, then the lowest subset index. Returns the winner's
+    HPE, activation and allocation.
+    """
+    indices = np.arange(1, 2**ch.n_sub)
+    masks = ((indices[:, None] >> np.arange(ch.n_sub)) & 1).astype(float)
+    omegas, _ = solve_lanes(ch, masks, pa_cfg, power_cfg)
+    values = (harvested_lanes(ch, omegas, masks)
+              / consumed_lanes(omegas, masks, power_cfg, ch.n_users, ch.n_elements))
+    win = np.lexsort((indices, masks.sum(axis=1), -values))[0]
+    return float(values[win]), masks[win].astype(int), omegas[win]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grid_oracle
+from oracles import enumerate_pa_es, grid_oracle
 from xlwpt import baselines
 from xlwpt.baselines import (
     ea_fa,
@@ -17,8 +17,8 @@ from xlwpt.baselines import (
 )
 from xlwpt.bench import run_methods
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
-from xlwpt.pa import PAConfig, pa_solve
-from xlwpt.power import AllocationState, PowerConfig, hpe
+from xlwpt.pa import Lanes, PAConfig, pa_solve
+from xlwpt.power import AllocationState, PowerConfig, hpe, uniform_split
 from xlwpt.scenario import ClusterSpec, ScenarioConfig
 
 
@@ -88,36 +88,47 @@ class TestPAES:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("n_sub", [3, 5])
     def test_lane_stacks_match_per_subset_solves(self, monkeypatch, n_sub, seed):
-        """Every lane of every stack equals a one-lane solve bit for bit.
+        """Every solved lane equals a one-lane solve bit for bit, and every
+        skipped subset's one-lane solve scores below the winner.
 
-        Stacks of 4 lanes put stack seams inside the subset range.
+        Stacks of 4 lanes put stack seams inside the solved subsets.
         """
         ch = make_channels(n_sub=n_sub, seed=seed)
         pa_cfg, cfg = PAConfig(), PowerConfig()
-        lanes = []
+        solved = {}
         solve_lanes = baselines.solve_lanes
 
         def recording(ch_, masks, *args):
             omegas, log = solve_lanes(ch_, masks, *args)
-            lanes.extend(zip(masks.copy(), omegas.copy()))
+            for mask, omega in zip(masks, omegas):
+                index = int(mask @ 2 ** np.arange(n_sub))
+                assert index not in solved
+                solved[index] = omega.copy()
             return omegas, log
 
         monkeypatch.setattr(baselines, "_ES_STACK_ENTRIES", 4 * ch.n_users * n_sub**2)
         monkeypatch.setattr(baselines, "solve_lanes", recording)
         res = pa_es(ch, pa_cfg, cfg)
 
-        assert len(lanes) == res.extra["subsets_evaluated"] == 2**n_sub - 1
-        best = None
-        for index, (mask, omega) in enumerate(lanes, start=1):
-            assert mask.tolist() == [(index >> s) & 1 for s in range(n_sub)]
+        assert len(solved) == res.extra["subsets_solved"]
+        assert res.extra["subsets_evaluated"] == 2**n_sub - 1
+        # every singleton is solved
+        assert {1 << s for s in range(n_sub)} <= set(solved)
+        best, skipped = None, []
+        for index in range(1, 2**n_sub):
+            mask = np.array([(index >> s) & 1 for s in range(n_sub)], dtype=float)
             want, _ = pa_solve(ch, mask, pa_cfg, cfg)
-            assert omega.tobytes() == want.tobytes()
             value = hpe(ch, AllocationState(want, mask.astype(int), mask), cfg)
+            if index not in solved:
+                skipped.append(value)
+                continue
+            assert solved[index].tobytes() == want.tobytes()
             key = (-value, int(mask.sum()), index)
             if best is None or key < best[0]:
                 best = (key, value, mask.astype(int).tolist())
         assert res.hpe == best[1]
         assert res.allocation.a.tolist() == best[2]
+        assert all(value < res.hpe for value in skipped)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n_sub", [4, 6, 8])
@@ -130,23 +141,38 @@ class TestPAES:
         assert res.hpe == hpe(ch, res.allocation, cfg.power)
 
     def test_stacks_fit_the_budget_at_the_cap(self, monkeypatch):
+        # the stub solve returns each lane's uniform split, so its values
+        # are real HPEs and the bound skips some subsets at S = 12
         n_sub = baselines.ES_SUBARRAY_CAP
         ch = make_channels(n_sub=n_sub, seed=1)
-        sizes = []
+        cfg = PowerConfig()
+        solves, bounds = [], []
 
         def recording(ch_, masks, pa_cfg, power_cfg):
-            sizes.append(len(masks))
-            return np.zeros(masks.shape + (ch_.n_users,)), None
+            solves.append(len(masks))
+            return masks[..., None] * uniform_split(ch_, power_cfg), None
+
+        class Recording(Lanes):
+            @classmethod
+            def build(cls, ch_, a_tilde, power_cfg):
+                bounds.append(len(a_tilde))
+                return Lanes.build(ch_, a_tilde, power_cfg)
 
         monkeypatch.setattr(baselines, "solve_lanes", recording)
-        res = pa_es(ch, PAConfig(), PowerConfig())
+        monkeypatch.setattr(baselines, "Lanes", Recording)
+        res = pa_es(ch, PAConfig(), cfg)
 
-        assert sum(sizes) == res.extra["subsets_evaluated"] == 2**n_sub - 1
         per_stack = baselines._ES_STACK_ENTRIES // (ch.n_users * n_sub**2)
-        assert max(sizes) <= per_stack
-        assert max(sizes) - min(sizes) <= 1
-        # as few stacks as the budget allows
-        assert len(sizes) == -(-(2**n_sub - 1) // per_stack)
+        n_subsets = 2**n_sub - 1
+        assert sum(bounds) == res.extra["subsets_evaluated"] == n_subsets
+        assert sum(solves) == res.extra["subsets_solved"] < n_subsets
+        # the singletons in one stack, then as few stacks of equal size
+        # as the budget allows
+        assert per_stack >= n_sub and solves[0] == n_sub
+        for sizes in (bounds, solves[1:]):
+            assert max(sizes) <= per_stack
+            assert max(sizes) - min(sizes) <= 1
+            assert len(sizes) == -(-sum(sizes) // per_stack)
 
     def test_stack_split_leaves_every_subset_unchanged(self, monkeypatch):
         n_sub = 7
@@ -156,18 +182,27 @@ class TestPAES:
 
         def recording(ch_, masks, *args):
             omegas, log = solve_lanes(ch_, masks, *args)
-            runs[-1].append(omegas)
+            runs[-1][0] += 1
+            runs[-1][1].update((mask.tobytes(), omega.tobytes())
+                               for mask, omega in zip(masks, omegas))
             return omegas, log
 
         monkeypatch.setattr(baselines, "solve_lanes", recording)
-        # one stack of all 127 subsets, then stacks of at most 5
+        # the singletons, then every other solved subset, each in one
+        # stack; then stacks of at most 5
+        results = []
         for budget in (ch.n_users * n_sub**2 * 2**n_sub, 5 * ch.n_users * n_sub**2):
             monkeypatch.setattr(baselines, "_ES_STACK_ENTRIES", budget)
-            runs.append([])
-            pa_es(ch, PAConfig(), PowerConfig())
-        one, many = runs
-        assert len(one) == 1 and len(many) == 26
-        assert np.concatenate(one).tobytes() == np.concatenate(many).tobytes()
+            runs.append([0, {}])
+            results.append(pa_es(ch, PAConfig(), PowerConfig()))
+        (n_one, one), (n_many, many) = runs
+        n_solved = results[0].extra["subsets_solved"]
+        assert len(one) == len(many) == n_solved < 2**n_sub - 1
+        assert n_one == 2 and n_many == 2 + -(-(n_solved - n_sub) // 5)
+        assert one == many
+        a, b = results
+        assert (a.hpe, a.allocation.a.tobytes(), a.allocation.omega.tobytes()) == (
+            b.hpe, b.allocation.a.tobytes(), b.allocation.omega.tobytes())
 
     def test_traced_peak_is_bounded_by_the_budget(self):
         # the working memory of a stack is a few copies of its harvest
@@ -180,6 +215,28 @@ class TestPAES:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * baselines._ES_STACK_ENTRIES
+
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(ScenarioConfig(n_sub=n_sub, clusters=ClusterSpec(n_vr=n_vr),
+                                      seed=seed), id="S%d-V%d-%d" % (n_sub, n_vr, seed))
+          for n_sub in (3, 5, 8) for n_vr in (1, 2) for seed in range(3)),
+        # the bound reads Lambda_A varsigma with no circuit power
+        pytest.param(ScenarioConfig(power=PowerConfig(p_syn=0.0, p_ct=0.0, p_cr=0.0)),
+                     id="zero_circuit_power"),
+        pytest.param(ScenarioConfig(n_sub=5, amplitude_model="per_element", seed=1),
+                     id="per_element"),
+    ])
+    def test_matches_the_enumerating_oracle(self, cfg):
+        # skipping the subsets that the bound rules out keeps the
+        # winner's bits
+        ch = cfg.channel_set()
+        res = pa_es(ch, cfg.pa, cfg.power)
+        value, active, omega = enumerate_pa_es(ch, cfg.pa, cfg.power)
+        assert res.hpe == value
+        assert res.allocation.a.tobytes() == active.tobytes()
+        assert res.allocation.omega.tobytes() == omega.tobytes()
+        n_subsets = 2**ch.n_sub - 1
+        assert res.extra["subsets_solved"] <= res.extra["subsets_evaluated"] == n_subsets
 
     def test_allocation_matches_reported_active_count(self):
         ch = make_channels(n_sub=3, seed=6)

@@ -1,8 +1,9 @@
 """Property-based invariants of the feasibility projection, both proxes,
-the harvest lane kernel, the batched polish and the joint
-activation/allocation loop, the bytes of the lane core's column and
-matmul kernels against the row reductions and einsum they replace, and
-each method's answer under a one-ulp change of the harvest matrices."""
+the harvest lane kernel, the batched polish, the joint
+activation/allocation loop and PA-ES's subset bound, the bytes of the
+lane core's column and matmul kernels against the row reductions and
+einsum they replace, and each method's answer under a one-ulp change of
+the harvest matrices."""
 
 from dataclasses import replace
 
@@ -16,11 +17,13 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from oracles import einsum_harvest_grad, sequential_polish, sort_projection  # noqa: E402
 from test_power import harvested_power_oracle, small_channel_set  # noqa: E402
 from xlwpt import pa  # noqa: E402
+from xlwpt.baselines import hpe_bound  # noqa: E402
 from xlwpt.bench import run_methods  # noqa: E402
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set  # noqa: E402
 from xlwpt.pa import (  # noqa: E402
     PAConfig,
     harvest_system,
+    pa_solve,
     project_feasible,
     prox_consumption,
     prox_neg_harvest,
@@ -30,6 +33,7 @@ from xlwpt.power import (  # noqa: E402
     PowerConfig,
     consumed_lanes,
     harvested_lanes,
+    hpe,
     uniform_split,
 )
 from xlwpt.sa import HPE_MONOTONE_SLACK, SAConfig, joint_solve  # noqa: E402
@@ -322,6 +326,53 @@ def test_joint_solve_prunes_for_good_and_never_loses(seed, n_sub, n_vr, warm_sta
     assert report.final_hpe >= report.hpe_trace[-1] - HPE_MONOTONE_SLACK
     for block in report.lambda_trace:
         assert np.all(np.diff(block) >= 0.0)
+
+
+# circuit constants of zero (no circuit power at all) drawn often
+CIRCUIT = st.just(0.0) | st.floats(0.0, 0.2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), n_sub=st.integers(1, 6), n_users=st.integers(1, 3),
+       model=st.sampled_from(["center", "per_element"]), data=st.data())
+def test_no_feasible_allocation_exceeds_the_subset_bound(seed, n_sub, n_users, model,
+                                                         data):
+    # PA-ES skips subset A when UB_A (1 + 1e-9) is below its incumbent, so
+    # hpe() of every feasible omega on A must stay within that margin
+    _, ch = small_channel_set(n_sub=n_sub, n_users=n_users, seed=seed,
+                              amplitude_model=model)
+    cfg = PowerConfig(varsigma=data.draw(st.floats(0.01, 1.0)),
+                      p_et=data.draw(st.floats(1e-3, 1.0)), p_syn=data.draw(CIRCUIT),
+                      p_ct=data.draw(CIRCUIT), p_cr=data.draw(CIRCUIT))
+    mask = data.draw(arrays(np.bool_, (n_sub,)).filter(np.any))
+    p_sub = cfg.p_sub(ch.n_elements)
+    # entries up to 2 P_s: the projection puts many rows on their budget
+    raw = data.draw(arrays(np.float64, (n_sub, n_users),
+                           elements=st.floats(0.0, 2.0 * p_sub)))
+    omega = project_feasible(raw, p_sub, mask[:, None])
+    alloc = AllocationState(omega, mask.astype(int))
+    alloc.validate(cfg, ch.n_elements)
+    bound = hpe_bound(pa.Lanes.build(ch, mask[None].astype(float), cfg), cfg.varsigma)
+    consumed = consumed_lanes(omega, mask.astype(float), cfg, n_users, ch.n_elements)
+    if consumed > 0:
+        assert hpe(ch, alloc, cfg) <= bound[0] * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("power_cfg", [PowerConfig(),
+                                       PowerConfig(p_syn=0.0, p_ct=0.0, p_cr=0.0)],
+                         ids=["default", "no_circuit"])
+def test_every_subset_solve_stays_below_its_bound(seed, power_cfg):
+    n_sub = 5
+    _, ch = small_channel_set(n_sub=n_sub, n_users=2, seed=seed)
+    masks = ((np.arange(1, 2**n_sub)[:, None] >> np.arange(n_sub)) & 1).astype(float)
+    bound = hpe_bound(pa.Lanes.build(ch, masks, power_cfg), power_cfg.varsigma)
+    for mask, ub in zip(masks, bound):
+        omega, _ = pa_solve(ch, mask, PAConfig(), power_cfg)
+        # a full budget on one top eigenvector attains the bound, so the
+        # value can sit an ulp above it: PA-ES's margin covers that
+        value = hpe(ch, AllocationState(omega, mask.astype(int)), power_cfg)
+        assert value <= ub * (1.0 + 1e-9)
 
 
 def roundoff_build(build, perturbation):
