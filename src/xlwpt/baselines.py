@@ -94,9 +94,9 @@ def opening_lanes(ch, pa_cfg, power_cfg):
     tic = time.perf_counter()
     ones = np.ones(ch.n_sub, dtype=int)
     _, a_tilde = outer_problem(uniform_split(ch, power_cfg), ones)
-    omegas, log = solve_lanes(ch, np.stack([ones, a_tilde]), pa_cfg, power_cfg)
+    omegas, traces = solve_lanes(ch, np.stack([ones, a_tilde]), pa_cfg, power_cfg)
     seconds = time.perf_counter() - tic
-    return {method: SolvedLane(omegas[i], log.trace(i), seconds)
+    return {method: SolvedLane(omegas[i], traces[i], seconds)
             for i, method in enumerate(("PA-FA", "PA-SA"))}
 
 

@@ -61,6 +61,9 @@ class ArrayGeometry:
             raise ValueError("unknown amplitude model %r" % (self.amplitude_model,))
         if self.n_sub < 1 or self.nx < 1 or self.ny < 1:
             raise ValueError("n_sub, nx and ny must all be >= 1")
+        if not all(map(math.isfinite, (self.d, self.wavelength, self.element_size,
+                                       self.boresight_exp))):
+            raise ValueError("d, wavelength, element_size and boresight_exp must be finite")
         if not (self.d > 0 and self.wavelength > 0 and self.element_size > 0):
             raise ValueError("d, wavelength and element_size must be positive")
         if not self.boresight_exp >= 0:
@@ -76,7 +79,12 @@ class ArrayGeometry:
         if len(origins) != self.n_sub:
             raise ValueError("need exactly one origin per sub-array")
         for o in origins:
-            if len(o) != 3 or o[2] != 0.0:
+            if len(o) != 3:
+                raise ValueError("each sub-array origin needs three numbers [x, y, z], "
+                                 "got %d" % len(o))
+            if not all(map(math.isfinite, o)):
+                raise ValueError("sub-array origins must be finite, got %r" % (o,))
+            if o[2] != 0.0:
                 raise ValueError("sub-array origins must lie on the z=0 plane")
         self._check_no_overlap()
 

@@ -13,9 +13,10 @@ sizes and stopping rules, leaves the working arrays when it stops, and
 repeats the arithmetic of a one-lane solve exactly, so it gives the bits
 of a one-lane call: ``pa_solve`` and ``dr_solve`` are one-lane calls,
 PA-ES solves its subsets as stacks, and ``baselines.opening_lanes``
-stacks PA-FA with PA-SA's first PA solve. The projection runs over the
-user columns and the polish gradient as a stacked matmul, each summing
-left to right as a short row ``sum`` or the einsum would.
+stacks PA-FA with PA-SA's first PA solve. Each lane's Dinkelbach
+iterations go to its own ``PATrace`` as it runs. The projection runs
+over the user columns and the polish gradient as a stacked matmul, each
+summing left to right as a short row ``sum`` or the einsum would.
 
 A lane stack carries its feasible set, and callers pass a start as it
 is, or none for the uniform split: only the lane core projects a start.
@@ -47,7 +48,7 @@ ascent; only the number of passes drops.
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -500,37 +501,14 @@ def initial_gamma(lam_max, pa_cfg):
     return np.where(scaled, pa_cfg.gamma / np.where(scaled, lam_max, 1.0), pa_cfg.gamma)
 
 
-class LaneLog:
-    """Dinkelbach iterations of a lane stack, kept as per-iteration arrays.
-
-    Each row holds the indices of the lanes that ran that iteration and
-    their records, one array per lane keyed by its ``DinkelbachState``
-    field name; a lane's ``PATrace`` is built only when asked for.
-    """
-
-    def __init__(self, n_lanes):
-        self.rows = []
-        self.converged = np.zeros(n_lanes, dtype=bool)
-
-    def trace(self, lane):
-        trace = PATrace(converged=bool(self.converged[lane]))
-        for t, run, wall_ns, records in self.rows:
-            i = np.searchsorted(run, lane)
-            if i == len(run) or run[i] != lane:
-                break
-            trace.states.append(DinkelbachState(
-                t=t, wall_ns=wall_ns,
-                **{name: values[i].item() for name, values in records.items()}))
-        return trace
-
-
 def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
     """Maximize HPE over omega for each row of ``a_tilde``, all rows at once.
 
     ``a_tilde`` is (B, S) and ``omega0`` an optional (B, S, M) start. Each
     lane runs its own Dinkelbach loop and leaves the working arrays once
-    |I - lambda * P_c| <= epsilon. Returns the (B, S, M) allocations and
-    the iteration log, from which ``log.trace(lane)`` builds a lane's trace.
+    |I - lambda * P_c| <= epsilon. Each running lane's ``DinkelbachState``
+    goes to that lane's own ``PATrace`` at the end of every iteration.
+    Returns the (B, S, M) allocations and the B traces.
     """
     a_tilde = np.asarray(a_tilde, dtype=float)
     n = len(a_tilde)
@@ -548,7 +526,7 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
            else harvested / consumed)
     gamma = initial_gamma(lanes.lam_max, pa_cfg)
 
-    log = LaneLog(n)
+    traces = [PATrace() for _ in range(n)]
     out = np.empty_like(omega)
     run = np.arange(n)
     for t in range(1, pa_cfg.max_outer + 1):
@@ -565,15 +543,21 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
                 "Dinkelbach ratio decreased from %.12g to %.12g" % (lam[i], lam_new[i])
             )
         lam = np.where(lam_new > lam, lam_new, lam)
-        # one wall time per iteration of the whole stack
-        log.rows.append((t, run, time.perf_counter_ns() - tic, dict(
-            lambda_t=lam, phi=harvested - lam * consumed, harvested=harvested,
-            consumed=consumed, residual=residual, dr_residual=info["dr_residual"],
+        # t and one wall time per iteration are shared by the running lanes
+        record = dict(
+            t=t, wall_ns=time.perf_counter_ns() - tic, lambda_t=lam,
+            phi=harvested - lam * consumed, harvested=harvested, consumed=consumed,
+            residual=residual, dr_residual=info["dr_residual"],
             dr_iterations=info["dr_iterations"], pga_trials=info["pga_trials"],
-            pga_seed=info["pga_seed"])))
+            pga_seed=info["pga_seed"])
+        columns = [value.tolist() if isinstance(value, np.ndarray) else [value] * len(run)
+                   for value in (record[f.name] for f in fields(DinkelbachState))]
+        for lane, values in zip(run.tolist(), zip(*columns)):
+            traces[lane].states.append(DinkelbachState(*values))
         done = residual <= pa_cfg.epsilon
         if done.any():
-            log.converged[run[done]] = True
+            for lane in run[done].tolist():
+                traces[lane].converged = True
             out[run[done]] = omega[done]
             keep = np.flatnonzero(~done)
             run, omega, lam, gamma = (a[keep] for a in (run, omega, lam, gamma))
@@ -581,7 +565,7 @@ def solve_lanes(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
                 break
             lanes = lanes.take(keep)
     out[run] = omega
-    return out, log
+    return out, traces
 
 
 def dr_solve(ch, a_tilde, lam, pa_cfg, power_cfg, omega0=None):
@@ -612,6 +596,6 @@ def pa_solve(ch, a_tilde, pa_cfg, power_cfg, omega0=None):
     if not np.any(a_tilde > 0):
         raise ValueError("at least one parameterized activation must be positive")
     start = None if omega0 is None else np.asarray(omega0, dtype=float)[None]
-    omega, log = solve_lanes(ch, a_tilde[None], pa_cfg, power_cfg, start)
-    return omega[0], log.trace(0)
+    omega, traces = solve_lanes(ch, a_tilde[None], pa_cfg, power_cfg, start)
+    return omega[0], traces[0]
 

@@ -3,17 +3,11 @@
 import csv
 import io
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 
-from xlwpt.geometry import (
-    AMPLITUDE_MODELS,
-    MIN_USER_DISTANCE,
-    UserPosition,
-    as_points,
-    radiation_pattern,
-    sub_array_center,
-)
+from xlwpt.geometry import AMPLITUDE_MODELS, MIN_USER_DISTANCE, UserPosition, as_points
 from xlwpt.pa import solve_lanes
 from xlwpt.power import consumed_lanes, harvested_lanes
 
@@ -33,6 +27,12 @@ def csv_writer_text(header, rows):
     writer.writerows(["%.17g" % v if isinstance(v, float) else v for v in row]
                      for row in rows)
     return text.getvalue()
+
+
+def trace_record(trace):
+    """Every field of a ``PATrace`` but the wall times, floats as exact reprs."""
+    return (trace.converged, [repr({k: v for k, v in asdict(s).items() if k != "wall_ns"})
+                              for s in trace.states])
 
 
 def grid_oracle(ch, power_cfg, active_set, steps):
@@ -91,6 +91,21 @@ def element_positions(geom, s):
     return pos
 
 
+def module_center(geom, s):
+    """The center of sub-array s: its corner plus half its span on each axis."""
+    ox, oy, _ = geom.sub_array_origins[s]
+    return np.array([ox + (geom.nx - 1) * geom.d / 2.0, oy + (geom.ny - 1) * geom.d / 2.0,
+                     0.0])
+
+
+def cosine_gain(theta, b):
+    """The element gain 2(b+1) cos^b(theta) on [0, pi/2] and 0 outside; the
+    cosine sees theta only inside, so no power of a negative cosine is formed."""
+    theta = np.asarray(theta, dtype=float)
+    inside = (theta >= 0.0) & (theta <= np.pi / 2.0)
+    return np.where(inside, 2.0 * (b + 1.0) * np.cos(np.where(inside, theta, 0.0)) ** b, 0.0)
+
+
 def scalar_channel(geom, s, user, amplitude_model="center"):
     """``geometry.channel`` as a per-element formula over ``element_positions``.
 
@@ -115,14 +130,14 @@ def scalar_channel(geom, s, user, amplitude_model="center"):
                          % MIN_USER_DISTANCE)
     phase = np.exp(-1j * geom.wavenumber * r_elem)
     if amplitude_model == "center":
-        r_ref = np.linalg.norm(p - sub_array_center(geom, s))
+        r_ref = np.linalg.norm(p - module_center(geom, s))
         theta = np.arccos(np.clip(p[2] / r_ref, -1.0, 1.0))
         amp = geom.wavelength / (4.0 * np.pi * r_ref)
-        gain = radiation_pattern(theta, geom.boresight_exp)
+        gain = cosine_gain(theta, geom.boresight_exp)
         return amp * np.sqrt(gain) * phase
     theta = np.arccos(np.clip(p[2] / r_elem, -1.0, 1.0))
     amp = geom.wavelength / (4.0 * np.pi * r_elem)
-    gain = radiation_pattern(theta, geom.boresight_exp)
+    gain = cosine_gain(theta, geom.boresight_exp)
     return amp * np.sqrt(gain) * phase
 
 
@@ -146,13 +161,13 @@ def exp_channels(geom, points, amplitude_model="center"):
         raise ValueError("user position degenerate")
     phase = np.exp(-1j * geom.wavenumber * r_elem)
     if amplitude_model == "center":
-        centers = np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
+        centers = np.array([module_center(geom, s) for s in range(geom.n_sub)])
         r = np.sqrt(np.sum((pts[:, None, :] - centers) ** 2, axis=2))[..., None]
     else:
         r = r_elem
     theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))
     amp = geom.wavelength / (4.0 * np.pi * r)
-    gain = radiation_pattern(theta, geom.boresight_exp)
+    gain = cosine_gain(theta, geom.boresight_exp)
     return amp * np.sqrt(gain) * phase
 
 

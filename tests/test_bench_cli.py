@@ -13,7 +13,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from oracles import csv_writer_text
+from oracles import csv_writer_text, trace_record
 from xlwpt import baselines, bench, cli, power
 from xlwpt.bench import (
     SweepSpec,
@@ -176,13 +176,6 @@ class TestRunMethods:
         assert r1[0].hpe != r2[0].hpe
 
 
-def pa_trace_record(trace):
-    """Every field of a PATrace but the wall times, floats as exact reprs."""
-    return (trace.converged, [repr((s.t, s.lambda_t, s.phi, s.harvested, s.consumed,
-                                    s.residual, s.dr_residual, s.dr_iterations))
-                              for s in trace.states])
-
-
 def report_record(report):
     """Every field of a SolveReport but its wall clock, floats as exact reprs."""
     fields = dict(vars(report))
@@ -231,8 +224,8 @@ class TestOpeningStack:
             want = baselines.pa_fa(ch, pa_cfg, cfg.power)
             assert got["PA-FA"].allocation.omega.tobytes() == want.allocation.omega.tobytes()
             assert repr(got["PA-FA"].hpe) == repr(want.hpe)
-            assert (pa_trace_record(got["PA-FA"].extra["pa_trace"])
-                    == pa_trace_record(want.extra["pa_trace"]))
+            assert (trace_record(got["PA-FA"].extra["pa_trace"])
+                    == trace_record(want.extra["pa_trace"]))
         if "PA-SA" in cfg.methods:
             want = baselines.pa_sa(ch, pa_cfg, cfg.power, sa_cfg)
             assert got["PA-SA"].allocation.omega.tobytes() == want.allocation.omega.tobytes()
@@ -732,6 +725,15 @@ class TestCLI:
             "solver fault: DR splitting produced a non-finite residual "
             "at sub-iteration 1\n")
         assert not out.exists()
+
+    def test_short_origin_names_its_length(self, tmp_path, capsys):
+        code = main(["solve", "--set", "geometry.S=1", "--set", "geometry.origins=[[0,0]]",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: geometry.origins: each sub-array origin needs three numbers "
+            "[x, y, z], got 2\n")
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_scenario_exit_code(self, tmp_path, capsys):
         for path in (tmp_path / "missing.json", tmp_path):

@@ -433,6 +433,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape|one point"):
             channel(paper_geometry(2), 0, point)
 
+    @pytest.mark.parametrize("name, value", [("d", np.inf), ("d", np.nan),
+                                             ("wavelength", np.inf),
+                                             ("element_size", np.inf),
+                                             ("boresight_exp", np.inf)])
+    def test_non_finite_size_rejected(self, name, value):
+        kwargs = dict(n_sub=1, nx=2, ny=2, d=0.05, wavelength=0.1,
+                      element_size=0.025, boresight_exp=2)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ArrayGeometry(**kwargs)
+
+    @pytest.mark.parametrize("origin, message", [
+        ((np.nan, 0.0, 0.0), "must be finite"),
+        ((0.0, np.inf, 0.0), "must be finite"),
+        ((0.0, 0.0, np.nan), "must be finite"),
+        ((0.0, 0.0), r"needs three numbers \[x, y, z\], got 2"),
+        ((0.0, 0.0, 0.0, 0.0), r"needs three numbers \[x, y, z\], got 4"),
+        ((0.0, 0.0, 0.1), "z=0 plane"),
+    ], ids=["nan_x", "inf_y", "nan_z", "two_numbers", "four_numbers", "off_plane"])
+    def test_bad_origin_rejected(self, origin, message):
+        # a non-finite origin would reach channel synthesis as NaN channels
+        with pytest.raises(ValueError, match=message):
+            ArrayGeometry(n_sub=1, nx=2, ny=2, d=0.05, wavelength=0.1,
+                          element_size=0.025, boresight_exp=2,
+                          sub_array_origins=(origin,))
+
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             ArrayGeometry(n_sub=0, nx=2, ny=2, d=0.05, wavelength=0.1,

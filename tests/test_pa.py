@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import sequential_polish
+from oracles import sequential_polish, trace_record
 from xlwpt import pa
 from xlwpt.geometry import ArrayGeometry, UserPosition, build_channel_set
 from xlwpt.pa import (
@@ -441,6 +441,33 @@ class TestSaFleetShapes:
             assert g.tobytes() == w.tobytes()
 
 
+def check_stack_against_one_lane_calls(ch, masks, pa_cfg, power_cfg, omega0=None):
+    """Each lane of one stack gives the allocation and the trace of its
+    one-lane call, and the lanes of one iteration share its wall time."""
+    omega, traces = pa.solve_lanes(ch, masks, pa_cfg, power_cfg, omega0)
+    assert len(traces) == len(masks)
+    for i, mask in enumerate(masks):
+        want, trace = pa_solve(ch, mask, pa_cfg, power_cfg,
+                               None if omega0 is None else omega0[i])
+        assert omega[i].tobytes() == want.tobytes()
+        assert trace_record(traces[i]) == trace_record(trace)
+    for t in range(max(trace.n_iterations for trace in traces)):
+        walls = {trace.states[t].wall_ns for trace in traces if trace.n_iterations > t}
+        assert len(walls) == 1
+    return traces
+
+
+def test_stack_lanes_stop_at_different_iterations():
+    # at seed 0 the lanes converge after 4, 2, 2 and 6 iterations; a cap
+    # of 5 stops the last one unconverged
+    ch = ScenarioConfig(n_sub=4, seed=0).channel_set()
+    masks = np.array([[1, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [0.5, 1, 0.25, 1]])
+    traces = check_stack_against_one_lane_calls(ch, masks, PAConfig(max_outer=5),
+                                                PowerConfig())
+    assert [trace.n_iterations for trace in traces] == [4, 2, 2, 5]
+    assert [trace.converged for trace in traces] == [True, True, True, False]
+
+
 class TestDeadUsers:
     """A user that no active sub-array reaches is given no power."""
 
@@ -471,12 +498,7 @@ class TestDeadUsers:
         ch, pa_cfg, power_cfg = self.channels(), PAConfig(), PowerConfig()
         warm = self.warm_start(ch, power_cfg)
         for omega0 in (None, np.stack([warm] * len(self.MASKS))):
-            omega, log = pa.solve_lanes(ch, self.MASKS, pa_cfg, power_cfg, omega0)
-            for i, mask in enumerate(self.MASKS):
-                want, trace = pa_solve(ch, mask, pa_cfg, power_cfg,
-                                       None if omega0 is None else warm)
-                assert omega[i].tobytes() == want.tobytes()
-                assert log.trace(i).lambda_trace == trace.lambda_trace
+            check_stack_against_one_lane_calls(ch, self.MASKS, pa_cfg, power_cfg, omega0)
 
     def test_operators_give_unreached_user_nothing(self):
         # the consumption prox masks with Lanes.allowed, not with a~ > 0
