@@ -7,7 +7,7 @@ element radiation pattern: per-element phase, per-sub-array amplitude.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +74,12 @@ class ArrayGeometry:
                 "sub_array_origins",
                 default_origins(self.n_sub, self.nx, self.ny, self.d),
             )
-        origins = tuple(tuple(float(c) for c in o) for o in self.sub_array_origins)
+        try:
+            origins = tuple(tuple(float(c) for c in o) for o in self.sub_array_origins)
+        except TypeError:
+            # a bare number where an origin or the tuple of them belongs
+            raise ValueError("each sub-array origin needs three numbers [x, y, z], "
+                             "got %r" % (self.sub_array_origins,)) from None
         object.__setattr__(self, "sub_array_origins", origins)
         if len(origins) != self.n_sub:
             raise ValueError("need exactly one origin per sub-array")
@@ -173,9 +178,9 @@ def radiation_pattern(theta, b):
 def channel(geom, s, user):
     """Near-field channel vector from sub-array s to one user, shape (Ns,).
 
-    The one-point view of ``ChannelKernel``: the kernel of sub-array s
-    alone runs on the user, so the vector has the bytes of the row
-    ``g[s, m]`` that ``build_channel_set`` gives that user. Raises
+    The one-point view of ``ChannelKernel``: the kernel runs on the user
+    for the one row s, so the vector has the bytes of the row ``g[s, m]``
+    that ``build_channel_set`` gives that user. Raises
     ValueError unless the user is one finite point in front of the array
     plane, at least ``MIN_USER_DISTANCE`` from every element of sub-array
     s, and IndexError unless 0 <= s < S.
@@ -187,8 +192,7 @@ def channel(geom, s, user):
         raise ValueError("user must be in front of the array plane")
     if not 0 <= s < geom.n_sub:
         raise IndexError("sub-array index %d out of range" % s)
-    one = replace(geom, n_sub=1, sub_array_origins=geom.sub_array_origins[s:s + 1])
-    return ChannelKernel(one)(p)[0, 0]
+    return ChannelKernel(geom)(p, [s])[0, 0]
 
 
 def as_points(points):
@@ -207,16 +211,21 @@ def as_points(points):
 
 
 class ChannelKernel:
-    """Near-field channels from all S sub-arrays of one geometry to many points.
+    """Near-field channels from the S sub-arrays of one geometry to many points.
 
     Built once from ``geom``, whose amplitude model it follows, it holds the
     geometry, its element x and y grids and sub-array centers. ``kernel(pts)``
     maps a (P, 3) array of finite points with z > 0 to their (P, S, Ns)
     channels, checking only the minimum element distance; ``channels`` checks
     raw points first, and a ``ChannelSet`` keeps the kernel that made it.
+    ``kernel(pts, rows)`` synthesizes only the sub-arrays that the index
+    array ``rows`` selects, from their grids and centers alone, and checks
+    the distance to their elements only: every entry is a function of its
+    own (point, sub-array, element), so ``kernel(pts, rows)`` has the bytes
+    of ``kernel(pts)[:, rows]``.
 
-    ``channel(geom, s, pt)`` is its one-point view, entry ``[0, s]`` for
-    ``pts = [pt]``, with these bytes. Squared distances broadcast as
+    ``channel(geom, s, pt)`` is its one-point view, ``kernel([pt], [s])``,
+    with these bytes. Squared distances broadcast as
     ``(dx^2 + dy^2) + dz^2`` over the separable element grid.
     The phases go into one complex buffer: x = -k r overwrites the
     distances, ``cos(x)`` and ``sin(x)`` fill its real and imaginary views
@@ -235,10 +244,11 @@ class ChannelKernel:
         self.centers = (np.array([sub_array_center(geom, s) for s in range(geom.n_sub)])
                         if geom.amplitude_model == "center" else None)
 
-    def __call__(self, pts):
-        shape = (len(pts), self.geom.n_sub, self.geom.n_elements)
-        dx2 = (pts[:, 0, None, None] - self.ex) ** 2               # (P, S, nx)
-        dy2 = (pts[:, 1, None, None] - self.ey) ** 2               # (P, S, ny)
+    def __call__(self, pts, rows=slice(None)):
+        ex, ey = self.ex[rows], self.ey[rows]
+        shape = (len(pts), len(ex), self.geom.n_elements)
+        dx2 = (pts[:, 0, None, None] - ex) ** 2                    # (P, S, nx)
+        dy2 = (pts[:, 1, None, None] - ey) ** 2                    # (P, S, ny)
         # element index ix * ny + iy, row-major over the (x, y) grid
         r_elem = np.add(dx2[..., :, None], dy2[..., None, :]).reshape(shape)
         r_elem += pts[:, 2, None, None] ** 2
@@ -247,7 +257,8 @@ class ChannelKernel:
             raise ValueError("user position degenerate: within %g m of an element"
                              % MIN_USER_DISTANCE)
         if self.centers is not None:
-            r = np.sqrt(np.sum((pts[:, None, :] - self.centers) ** 2, axis=2))[..., None]
+            d2 = (pts[:, None, :] - self.centers[rows]) ** 2
+            r = np.sqrt(np.sum(d2, axis=2))[..., None]
         else:
             r = r_elem
         theta = np.arccos(np.clip(pts[:, 2, None, None] / r, -1.0, 1.0))

@@ -11,15 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points
+from .geometry import MIN_USER_DISTANCE, as_points
 
 FEASIBILITY_TOL = 1e-9
-# complex channel entries (probes x S x Ns) synthesized per power-map chunk,
-# 32 probes at S=6, Ns=256. Set from a sweep over 16K-192K entries on an
-# 81x81 raster: this size pays each chunk's fixed NumPy call cost a third
-# as often as 16K did, while a worker's ~1.2 MB of temporaries (24 B per
-# entry) still fits a 2 MB per-core L2; wider chunks ran no faster and
-# only added resident memory. Every size gives the same raster bytes.
+# complex channel entries (probes x radiating sub-arrays x Ns) synthesized
+# per power-map chunk: 32 probes when all 6 sub-arrays radiate, 96 when 2
+# do, at Ns=256. Set from a sweep over 16K-192K entries on an 81x81 raster:
+# this size pays each chunk's fixed NumPy call cost a third as often as 16K
+# did, while a worker's ~1.2 MB of temporaries (24 B per entry) still fits
+# a 2 MB per-core L2; wider chunks ran no faster and only added resident
+# memory. Every size gives the same raster bytes.
 _MAP_CHUNK_ENTRIES = 49152
 
 
@@ -175,7 +176,15 @@ def power_map(alloc, ch, probes):
     for the real users; only the receive channel is synthesized per probe,
     by ``ch.kernel``, the kernel that made the users' channels. A probe at
     a user's position gets that user's received power, since both go
-    through ``_received``. The caller and one helper thread per spare CPU
+    through ``_received``. Only the sub-arrays that radiate, the rows of
+    beam coefficients with a nonzero entry, are synthesized: a switched-off
+    or zero-power row would add only +-0 terms to ``_received``'s sum over
+    sub-arrays, and each channel entry depends on its own sub-array alone,
+    so the raster has the bytes of one made from all S rows. A probe within
+    ``MIN_USER_DISTANCE`` of any element, radiating or not, still raises
+    ValueError in the thread that draws its chunk, which runs the full
+    kernel on the chunk's few probes low enough to be that near one.
+    The caller and one helper thread per spare CPU
     draw the next probe chunk from one shared queue until it is empty, so
     a worker that loses CPU time leaves the rest to the others. NumPy
     releases the GIL inside the chunks' large elementwise loops, and a
@@ -183,12 +192,14 @@ def power_map(alloc, ch, probes):
     runs it, so every value has the same bits on any CPU count.
     """
     coef = _coefficients(ch, alloc.omega, _weights(ch, alloc))
-    g_conj = np.conj(ch.g)
+    # a row of zero coefficients would add only +-0 terms to each probe's sum
+    rows = np.flatnonzero(coef.any(axis=1))
+    coef, g_conj = coef[rows], np.conj(ch.g[rows])
     pts = as_points(probes)
     values = np.zeros(len(pts))
     # probes behind the array plane lie outside the element pattern support
     front = np.flatnonzero(pts[:, 2] > 0)
-    step = max(1, _MAP_CHUNK_ENTRIES // (ch.n_sub * ch.n_elements))
+    step = max(1, _MAP_CHUNK_ENTRIES // (max(1, len(rows)) * ch.n_elements))
     chunks = deque(range(0, len(front), step))
 
     def fill():
@@ -200,8 +211,14 @@ def power_map(alloc, ch, probes):
             except IndexError:
                 return
             idx = front[start:start + step]
-            # laid out (S, probes, M) like gram
-            cross = np.einsum("psi,smi->spm", ch.kernel(pts[idx]), g_conj)
+            # elements lie on z = 0, so only a probe this low can be within
+            # MIN_USER_DISTANCE of one; the full kernel rejects it whether
+            # that element's sub-array radiates or not
+            near = idx[pts[idx, 2] < 2.0 * MIN_USER_DISTANCE]
+            if len(near):
+                ch.kernel(pts[near])
+            # laid out (radiating rows, probes, M) like gram
+            cross = np.einsum("psi,smi->spm", ch.kernel(pts[idx], rows), g_conj)
             values[idx] = _received(coef, cross)
 
     workers = min(_cpu_count(), len(chunks))

@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from xlwpt import power
 from xlwpt.geometry import AMPLITUDE_MODELS, MIN_USER_DISTANCE, UserPosition, as_points
 from xlwpt.pa import solve_lanes
 from xlwpt.power import consumed_lanes, harvested_lanes
@@ -169,6 +170,24 @@ def exp_channels(geom, points, amplitude_model="center"):
     amp = geom.wavelength / (4.0 * np.pi * r)
     gain = cosine_gain(theta, geom.boresight_exp)
     return amp * np.sqrt(gain) * phase
+
+
+def full_row_map(alloc, ch, probes):
+    """``power.power_map`` with every sub-array's probe channels.
+
+    Runs ``ch.kernel`` on all S rows for every probe in front of the array
+    plane and scores them in one ``_received`` call with all S rows of the
+    beam coefficients, switched-off and zero-power rows included; probes
+    behind the plane read 0. The map, which synthesizes the radiating rows
+    only, must give its bytes.
+    """
+    coef = power._coefficients(ch, alloc.omega, alloc.a.astype(float))
+    pts = as_points(probes)
+    values = np.zeros(len(pts))
+    front = np.flatnonzero(pts[:, 2] > 0)
+    cross = np.einsum("psi,smi->spm", ch.kernel(pts[front]), np.conj(ch.g))
+    values[front] = power._received(coef, cross)
+    return values
 
 
 def einsum_harvest_grad(quad, q):

@@ -444,20 +444,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be finite"):
             ArrayGeometry(**kwargs)
 
-    @pytest.mark.parametrize("origin, message", [
-        ((np.nan, 0.0, 0.0), "must be finite"),
-        ((0.0, np.inf, 0.0), "must be finite"),
-        ((0.0, 0.0, np.nan), "must be finite"),
-        ((0.0, 0.0), r"needs three numbers \[x, y, z\], got 2"),
-        ((0.0, 0.0, 0.0, 0.0), r"needs three numbers \[x, y, z\], got 4"),
-        ((0.0, 0.0, 0.1), "z=0 plane"),
-    ], ids=["nan_x", "inf_y", "nan_z", "two_numbers", "four_numbers", "off_plane"])
-    def test_bad_origin_rejected(self, origin, message):
-        # a non-finite origin would reach channel synthesis as NaN channels
+    @pytest.mark.parametrize("origins, message", [
+        (((np.nan, 0.0, 0.0),), "must be finite"),
+        (((0.0, np.inf, 0.0),), "must be finite"),
+        (((0.0, 0.0, np.nan),), "must be finite"),
+        (((0.0, 0.0),), r"needs three numbers \[x, y, z\], got 2"),
+        (((0.0, 0.0, 0.0, 0.0),), r"needs three numbers \[x, y, z\], got 4"),
+        (((0.0, 0.0, 0.1),), "z=0 plane"),
+        ((1.0,), r"needs three numbers \[x, y, z\], got \(1\.0,\)"),
+        (1.0, r"needs three numbers \[x, y, z\], got 1\.0"),
+    ], ids=["nan_x", "inf_y", "nan_z", "two_numbers", "four_numbers", "off_plane",
+            "flat_origin", "bare_number"])
+    def test_bad_origin_rejected(self, origins, message):
+        # a non-finite origin would reach channel synthesis as NaN channels;
+        # a bare number is no origin at all
         with pytest.raises(ValueError, match=message):
             ArrayGeometry(n_sub=1, nx=2, ny=2, d=0.05, wavelength=0.1,
                           element_size=0.025, boresight_exp=2,
-                          sub_array_origins=(origin,))
+                          sub_array_origins=origins)
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):

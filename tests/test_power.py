@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import element_positions, exp_channels, scalar_channel
+from oracles import element_positions, exp_channels, full_row_map, scalar_channel
 from xlwpt import power
 from xlwpt.geometry import (
     MIN_USER_DISTANCE,
@@ -333,8 +333,11 @@ class TestPowerMapChunks:
         self.geom, self.ch = small_channel_set()
         self.alloc = random_allocation(self.ch, PowerConfig(),
                                        np.random.default_rng(8))
+        # a chunk holds the probe channels of the radiating sub-arrays only
+        coef = power._coefficients(self.ch, self.alloc.omega, self.alloc.a.astype(float))
+        radiating = np.count_nonzero(coef.any(axis=1))
         self.step = max(1, power._MAP_CHUNK_ENTRIES
-                        // (self.geom.n_sub * self.geom.n_elements))
+                        // (max(1, radiating) * self.geom.n_elements))
 
     def channel_set(self, model):
         """The same users' channel set under ``model``."""
@@ -393,7 +396,8 @@ class TestPowerMapChunks:
         # 5 chunks over 3 workers against a raster made on the caller alone
         # from the complex-temporary channels
         ch = self.channel_set(model)
-        exp_ch = replace(ch, kernel=lambda pts: exp_channels(self.geom, pts, model))
+        exp_ch = replace(ch, kernel=lambda pts, rows=slice(None):
+                         exp_channels(self.geom, pts, model)[:, rows])
         probes = self.probes(4 * self.step + 5, seed=4)
         probes[[3, self.step + 1], 2] = -0.5
         with monkeypatch.context() as patch:
@@ -424,13 +428,13 @@ class TestPowerMapChunks:
         helper_failed = threading.Event()
         kernel = self.ch.kernel
 
-        def kernel_failing_in_helpers(pts):
+        def kernel_failing_in_helpers(pts, rows=slice(None)):
             if threading.current_thread() is not caller:
                 helper_failed.set()
                 raise ValueError("helper fault")
             if not helper_failed.wait(timeout=60):
                 raise RuntimeError("no helper drew a chunk")
-            return kernel(pts)
+            return kernel(pts)[:, rows]
 
         ch = replace(self.ch, kernel=kernel_failing_in_helpers)
         probes = self.probes(4 * self.step, seed=2)
@@ -474,6 +478,98 @@ class TestPowerMapChunks:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
         assert len(got) == 1 and got[0].tobytes() == want.tobytes()
+
+
+class TestRadiatingRows:
+    """power_map synthesizes probe channels for the radiating sub-arrays only."""
+
+    # activations and the rows that get zero power, then the radiating rows
+    CASES = {
+        "switched_off": ([1, 0, 1], [], [0, 2]),
+        "zero_power": ([1, 1, 1], [1], [0, 2]),
+        "all_on": ([1, 1, 1], [], [0, 1, 2]),
+        "one_row": ([0, 1, 0], [], [1]),
+        "none": ([0, 0, 0], [], []),
+    }
+
+    def use_case(self, case, model="center"):
+        self.geom, self.ch = small_channel_set(amplitude_model=model)
+        a, silent, self.rows = self.CASES[case]
+        rng = np.random.default_rng(11)
+        omega = rng.uniform(0.1, 1.0, size=(self.ch.n_sub, self.ch.n_users))
+        omega[silent] = 0.0
+        self.alloc = AllocationState(omega=omega, a=a)
+
+    def probes(self, n=90, seed=3):
+        rng = np.random.default_rng(seed)
+        probes = np.column_stack([rng.uniform(-1.5, 1.5, n),
+                                  rng.uniform(-0.3, 0.3, n),
+                                  rng.uniform(0.05, 2.0, n)])
+        probes[[4, 40], 2] = -0.5
+        # lower than 2 MIN_USER_DISTANCE, but far from every element
+        probes[[7, 61]] = [(5.0, 0.0, MIN_USER_DISTANCE / 2), (-4.0, 1.0, 1e-300)]
+        return probes
+
+    def small_chunks(self, monkeypatch, cpus):
+        """Chunks of 5 probes at 3 radiating rows, shared among ``cpus`` workers."""
+        monkeypatch.setattr(power, "_MAP_CHUNK_ENTRIES", 5 * 3 * self.geom.n_elements)
+        monkeypatch.setattr(power.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("model", ["center", "per_element"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_full_row_map(self, monkeypatch, case, model, cpus):
+        self.use_case(case, model)
+        self.small_chunks(monkeypatch, cpus)
+        probes = self.probes()
+        got = power_map(self.alloc, self.ch, probes)
+        assert got.tobytes() == full_row_map(self.alloc, self.ch, probes).tobytes()
+        if not self.rows:
+            assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_kernel_synthesizes_radiating_rows_only(self, monkeypatch, case):
+        self.use_case(case)
+        self.small_chunks(monkeypatch, 1)
+        kernel, calls = self.ch.kernel, []
+
+        def recording_kernel(pts, rows=None):
+            # rows None: the call on all rows that checks low probes
+            calls.append((rows, pts.copy()))
+            return kernel(pts) if rows is None else kernel(pts, rows)
+
+        probes = self.probes()
+        power_map(self.alloc, replace(self.ch, kernel=recording_kernel), probes)
+        front = probes[probes[:, 2] > 0]
+        low = front[front[:, 2] < 2.0 * MIN_USER_DISTANCE]
+        chunk_rows = [list(rows) for rows, _ in calls if rows is not None]
+        assert chunk_rows and all(rows == self.rows for rows in chunk_rows)
+        # every probe in front is synthesized once on the radiating rows, and
+        # only the two low ones on all rows as well
+        synthesized = np.concatenate([pts for rows, pts in calls if rows is not None])
+        assert sorted(map(tuple, synthesized)) == sorted(map(tuple, front))
+        checked = np.concatenate([pts for rows, pts in calls if rows is None])
+        assert sorted(map(tuple, checked)) == sorted(map(tuple, low)) and len(low) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("s", [0, 1], ids=["radiating", "switched_off"])
+    @pytest.mark.parametrize("case", ["switched_off", "none"])
+    def test_probe_near_any_element_rejected(self, monkeypatch, case, s, cpus):
+        # sub-array 1 is silent in both cases and sub-array 0 radiates in one
+        self.use_case(case)
+        self.small_chunks(monkeypatch, cpus)
+        probes = self.probes()
+        elem = element_positions(self.geom, s)[3]
+        probes[50] = (elem[0], elem[1], MIN_USER_DISTANCE / 2)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="degenerate"):
+            power_map(self.alloc, self.ch, probes)
+        assert threading.active_count() == before
+        # the same probe twice as high is MIN_USER_DISTANCE off every element
+        probes[50, 2] = 2.0 * MIN_USER_DISTANCE
+        got = power_map(self.alloc, self.ch, probes)
+        assert got.tobytes() == full_row_map(self.alloc, self.ch, probes).tobytes()
 
 
 class TestPowerConfig:
